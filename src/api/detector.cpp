@@ -62,16 +62,12 @@ pipeline::ParallelDetectConfig Detector::engine_config(
     const DetectOptions& options, const pipeline::Cascade* cascade) const {
   pipeline::ParallelDetectConfig engine;
   engine.threads = options.threads;
-  // Telemetry wins wholesale over the deprecated alias fields (see
-  // api/types.hpp). Both point into caller-owned sinks that outlive the call.
+  // The sinks point into caller-owned storage that outlives the call.
   if (options.telemetry) {
     engine.feature_counter = options.telemetry->feature_ops;
     engine.cache_stats = options.telemetry->encode_cache;
     engine.cascade_stats = options.telemetry->cascade;
     engine.cascade_per_scale = options.telemetry->cascade_per_scale;
-  } else {
-    engine.feature_counter = options.feature_counter;
-    engine.cache_stats = options.encode_cache_stats;
   }
   // Points into the caller's options, which outlive the scan call.
   engine.fault_plan = options.fault_plan ? &*options.fault_plan : nullptr;

@@ -153,11 +153,7 @@ class Outcome {
 // ---------------------------------------------------------------------------
 // Telemetry
 
-// Optional observability sinks for one detect call. Replaces the raw
-// observer pointers that used to live directly on DetectOptions
-// (feature_counter / encode_cache_stats — still present as deprecated
-// aliases for one release; when `telemetry` is set it wins wholesale and
-// the legacy fields are ignored).
+// Optional observability sinks for one detect call.
 //
 // Lifetime contract: every sink must stay alive until the detect call
 // returns — for served requests, until the response future resolves. Sinks
@@ -202,9 +198,6 @@ struct DetectOptions {
   double score_threshold = 0.0;
   // Class treated as "detection" in binary workloads.
   int positive_class = 1;
-  // Deprecated alias (one release): use telemetry.feature_ops. Ignored when
-  // `telemetry` is set.
-  core::OpCounter* feature_counter = nullptr;
   // Encode strategy for the batched engine. kPerWindow (default) reproduces
   // the engine's historical bit streams exactly; kCellPlane computes the
   // per-pixel stochastic chain once per scene cell and assembles windows from
@@ -220,11 +213,8 @@ struct DetectOptions {
   // cells of a sparse scene are never encoded at all. validate() rejects
   // kLazy without kCellPlane.
   pipeline::PlaneMode plane_mode = pipeline::PlaneMode::kEager;
-  // Deprecated alias (one release): use telemetry.encode_cache. Ignored when
-  // `telemetry` is set.
-  pipeline::EncodeCacheStats* encode_cache_stats = nullptr;
   // Observability sinks for this call (see Telemetry for the lifetime
-  // contract). When set, the deprecated alias fields above are ignored.
+  // contract).
   std::optional<Telemetry> telemetry;
   // Fault-injection plan for robustness studies. When set, the scan runs
   // against a detector whose stored hypervector memories (item memories,

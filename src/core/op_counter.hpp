@@ -11,7 +11,6 @@
 #include <array>
 #include <cstdint>
 #include <string_view>
-#include <vector>
 
 namespace hdface::core {
 
@@ -39,7 +38,7 @@ constexpr std::string_view op_kind_name(OpKind k) {
 }
 
 // Plain counter bucket. Not thread-safe by design: use one per worker and
-// merge() afterwards.
+// merge() afterwards (util::parallel_for_sharded hands each chunk its own).
 struct OpCounter {
   std::array<std::uint64_t, kOpKindCount> counts{};
 
@@ -58,77 +57,6 @@ struct OpCounter {
     for (auto c : counts) t += c;
     return t;
   }
-};
-
-// Thread-safe accumulation mode: one cache-line-padded OpCounter per worker
-// shard, merged on read. Distinct shards may be written concurrently without
-// synchronization (no shared cache lines, no atomics on the hot path); the
-// merged totals are exact because addition is order-independent. This is the
-// counter the parallel detection engine hands to its workers.
-//
-// Sharded counters are deliberately *outside* the capability-annotation
-// layer (util/thread_annotations.hpp): there is no lock to name. Safety
-// rests on an ownership discipline instead — shard(i) is exclusively the
-// claiming worker's for the duration of the dispatch, and combined()/total()
-// run only after the parallel region joins. hdlint's
-// ref-capture-thread-lambda rule keeps the claim sites explicit (each
-// worker lambda names the sharded counter it captures), and the tsan preset
-// exercises the discipline under load.
-class ShardedOpCounter {
- public:
-  explicit ShardedOpCounter(std::size_t shards) : shards_(shards ? shards : 1) {}
-
-  std::size_t num_shards() const { return shards_.size(); }
-
-  // Shard i is exclusively the caller's; concurrent use of distinct shards
-  // is safe, concurrent use of one shard is not.
-  OpCounter& shard(std::size_t i) { return shards_[i].counter; }
-
-  OpCounter combined() const {
-    OpCounter out;
-    for (const auto& s : shards_) out.merge(s.counter);
-    return out;
-  }
-
-  void reset() {
-    for (auto& s : shards_) s.counter.reset();
-  }
-
- private:
-  struct alignas(64) PaddedCounter {
-    OpCounter counter;
-  };
-  std::vector<PaddedCounter> shards_;
-};
-
-// Cache-line-padded integer tally with the same sharding discipline as
-// ShardedOpCounter: each worker owns a shard, totals merge by addition, so
-// the combined count is exact and identical at every thread count. Used by
-// evaluation sweeps (hit counting) where a full OpCounter is overkill.
-class ShardedTally {
- public:
-  explicit ShardedTally(std::size_t shards) : shards_(shards ? shards : 1) {}
-
-  std::size_t num_shards() const { return shards_.size(); }
-
-  // Shard i is exclusively the caller's (same rule as ShardedOpCounter).
-  std::uint64_t& shard(std::size_t i) { return shards_[i].value; }
-
-  std::uint64_t total() const {
-    std::uint64_t t = 0;
-    for (const auto& s : shards_) t += s.value;
-    return t;
-  }
-
-  void reset() {
-    for (auto& s : shards_) s.value = 0;
-  }
-
- private:
-  struct alignas(64) PaddedValue {
-    std::uint64_t value = 0;
-  };
-  std::vector<PaddedValue> shards_;
 };
 
 }  // namespace hdface::core

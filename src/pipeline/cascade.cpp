@@ -295,7 +295,6 @@ CascadeTable calibrate_cascade(HdFacePipeline& pipeline,
 
   ParallelDetectConfig engine;
   engine.threads = config.threads;
-  engine.encode_mode = EncodeMode::kCellPlane;
 
   hog::HdHogExtractor::StagedWindow win(*extractor);
   std::vector<std::size_t> cum(classes);
@@ -312,13 +311,13 @@ CascadeTable calibrate_cascade(HdFacePipeline& pipeline,
   const std::size_t cell = extractor->config().hog.cell_size;
   const std::size_t cells_per_side = config.window / cell;
   for (const image::Image& scene : scenes) {
-    maps.push_back(detect_windows_parallel(pipeline, scene, config.window,
-                                           config.stride,
-                                           config.positive_class, engine));
     const std::size_t grid_step = std::gcd(config.stride, cell);
     planes.push_back(build_scene_cell_plane(pipeline, scene, grid_step, engine));
-    const DetectionMap& map = maps.back();
     const hog::CellPlane& plane = planes.back();
+    maps.push_back(detect_windows_on_plane(pipeline, scene, plane,
+                                           config.window, config.stride,
+                                           config.positive_class, engine));
+    const DetectionMap& map = maps.back();
     const std::size_t total = map.steps_x * map.steps_y;
     for (std::size_t idx = 0; idx < total; ++idx) {
       if (map.predictions[idx] != config.positive_class) continue;

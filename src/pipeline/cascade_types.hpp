@@ -100,8 +100,8 @@ struct CascadeStageCounters {
 };
 
 // Stage accounting for a cascaded scan, merged from per-chunk shards after
-// the scan (ShardedOpCounter-style) — totals are exact and identical at
-// every thread count. Untouched by kExact scans.
+// the scan — totals are exact and identical at every thread count.
+// Untouched by kExact scans.
 struct CascadeStats {
   std::vector<CascadeStageCounters> stages;
   std::uint64_t windows = 0;       // windows entering the staged cascade

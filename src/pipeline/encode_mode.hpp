@@ -38,7 +38,7 @@ enum class PlaneMode {
 };
 
 // Exact cache accounting for a cell-plane scan, merged from per-chunk shards
-// (ShardedTally) after the scan — totals are identical at every thread count.
+// after the scan — totals are identical at every thread count.
 // The lazy-mode extras are exact too: the SET of materialized cells is a pure
 // function of (model, scene, cascade table), not of scheduling, so its size
 // and parity-subgrid slice are thread-count invariant.

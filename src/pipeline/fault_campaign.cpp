@@ -1,11 +1,9 @@
 #include "pipeline/fault_campaign.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cstring>
 #include <stdexcept>
 
-#include "core/op_counter.hpp"
 #include "core/rng.hpp"
 #include "pipeline/fault_injection.hpp"
 #include "pipeline/parallel_detect.hpp"
@@ -137,20 +135,12 @@ FaultCampaignCell FaultCampaign::evaluate_cell(
   // thread count.
   const std::uint64_t eval_base = core::mix64(plan.seed, kEvalStreamSalt);
   const std::size_t total = test.images.size();
-  core::ShardedTally hits(pool.size() * 4 + 1);
-  std::atomic<std::size_t> next_shard{0};
-  util::parallel_for_chunked(
-      pool, 0, total, config_.min_chunk,
-      [&pipe, &plan, &test, eval_base, &hits,
-       &next_shard](std::size_t lo, std::size_t hi) {
+  const std::uint64_t hits = util::parallel_for_sharded<std::uint64_t>(
+      &pool, 0, total, config_.min_chunk,
+      [&pipe, &plan, &test, eval_base](std::uint64_t& shard, std::size_t lo,
+                                       std::size_t hi) {
         core::StochasticContext scratch =
             pipe.fork_context(core::mix64(eval_base, lo));
-        // Which shard a chunk claims depends on scheduling, but the shard
-        // *sum* does not: integer adds commute, so hits.total() is identical
-        // at every thread count and interleaving.
-        // hdlint: allow(sched-dependent-value)
-        std::uint64_t& shard = hits.shard(next_shard.fetch_add(1) %
-                                          hits.num_shards());
         for (std::size_t i = lo; i < hi; ++i) {
           scratch.reseed(core::mix64(eval_base, i));
           core::Hypervector feature =
@@ -162,8 +152,7 @@ FaultCampaignCell FaultCampaign::evaluate_cell(
           if (pred == test.labels[i]) ++shard;
         }
       });
-  cell.accuracy =
-      static_cast<double>(hits.total()) / static_cast<double>(total);
+  cell.accuracy = static_cast<double>(hits) / static_cast<double>(total);
 
   // --- scene detection quality ---------------------------------------------
   if (scene != nullptr) {

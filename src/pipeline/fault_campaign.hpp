@@ -22,8 +22,8 @@
 //
 // Parallelism: cells run *serially* — injection mutates the subject's shared
 // storage, so two cells of one subject cannot coexist — while the evaluation
-// inside a cell fans out over util::parallel_for_chunked. Hit counts
-// aggregate through core::ShardedTally (exact integer merge) and every
+// inside a cell fans out over util::parallel_for_sharded. Hit counts
+// aggregate through its per-chunk shards (exact integer merge) and every
 // per-sample encoding reseeds from the sample index, so a campaign's results
 // are bit-identical at any thread count — the same determinism contract the
 // clean detection engine makes.

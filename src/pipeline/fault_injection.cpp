@@ -77,6 +77,9 @@ FaultSession::FaultSession(HdFacePipeline& pipeline,
       disturbed_bits_ += core::hamming(clean, protos[c]);
       faultable_bits_ += protos[c].dim();
     }
+    // Keep the override the detector was deployed with, if any, so
+    // restore() puts it back instead of dropping to cosine scoring.
+    prior_override_ = pipeline_.classifier().binary_override();
     pipeline_.mutable_classifier().set_binary_override(std::move(protos));
     override_set_ = true;
   }
@@ -112,7 +115,12 @@ void FaultSession::restore() {
   patches_.clear();
 
   if (override_set_) {
-    pipeline_.mutable_classifier().clear_binary_override();
+    if (prior_override_.empty()) {
+      pipeline_.mutable_classifier().clear_binary_override();
+    } else {
+      pipeline_.mutable_classifier().set_binary_override(
+          std::move(prior_override_));
+    }
     override_set_ = false;
   }
   active_ = false;

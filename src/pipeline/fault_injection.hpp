@@ -61,10 +61,11 @@ class FaultSession {
   FaultSession(const FaultSession&) = delete;
   FaultSession& operator=(const FaultSession&) = delete;
 
-  // Write every clean snapshot back and clear the prototype override.
-  // Idempotent. Throws std::runtime_error if the faulted storage was mutated
-  // behind the session's back (checksum mismatch), or if the restored words
-  // fail to verify against the clean snapshot.
+  // Write every clean snapshot back and put back the prototype override
+  // present at construction (clearing it when there was none). Idempotent.
+  // Throws std::runtime_error if the faulted storage was mutated behind the
+  // session's back (checksum mismatch), or if the restored words fail to
+  // verify against the clean snapshot.
   void restore();
 
   bool active() const { return active_; }
@@ -97,6 +98,8 @@ class FaultSession {
   std::uint64_t faulted_checksum_ = 0;
   std::uint64_t disturbed_bits_ = 0;
   std::uint64_t faultable_bits_ = 0;
+  // Binary-prototype override in place before the session (empty if none).
+  std::vector<core::Hypervector> prior_override_;
   bool override_set_ = false;
   bool active_ = false;
 };

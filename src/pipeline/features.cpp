@@ -1,7 +1,5 @@
 #include "pipeline/features.hpp"
 
-#include <atomic>
-
 #include "util/thread_pool.hpp"
 
 namespace hdface::pipeline {
@@ -13,31 +11,16 @@ std::vector<std::vector<float>> extract_hog_features(
   std::vector<std::vector<float>> out(total);
   // Classical HOG is deterministic per image, so the fan-out is trivially
   // bit-identical at any thread count; only op accounting needs sharding.
-  util::ThreadPool& pool = util::global_pool();
-  if (pool.size() <= 1 || total <= 1) {
-    for (std::size_t i = 0; i < total; ++i) {
-      out[i] = extractor.extract(data.images[i], counter);
-    }
-    return out;
-  }
-  core::ShardedOpCounter shards(pool.size() * 4 + 1);
-  std::atomic<std::size_t> next_shard{0};
-  util::parallel_for_chunked(
-      pool, 0, total, 1,
-      [&extractor, &data, &out, counter, &shards,
-       &next_shard](std::size_t lo, std::size_t hi) {
-        core::OpCounter* chunk_counter = nullptr;
-        if (counter) {
-          // hdlint: allow(sched-dependent-value) — shard totals merge with
-          // integer adds, so combined() is exact at every thread count.
-          chunk_counter = &shards.shard(next_shard.fetch_add(1) %
-                                        shards.num_shards());
-        }
+  const core::OpCounter ops = util::parallel_for_sharded<core::OpCounter>(
+      &util::global_pool(), 0, total, 1,
+      [&extractor, &data, &out, counter](core::OpCounter& shard,
+                                          std::size_t lo, std::size_t hi) {
+        core::OpCounter* ops = counter ? &shard : nullptr;
         for (std::size_t i = lo; i < hi; ++i) {
-          out[i] = extractor.extract(data.images[i], chunk_counter);
+          out[i] = extractor.extract(data.images[i], ops);
         }
       });
-  if (counter) counter->merge(shards.combined());
+  if (counter) counter->merge(ops);
   return out;
 }
 

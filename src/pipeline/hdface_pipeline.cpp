@@ -1,6 +1,5 @@
 #include "pipeline/hdface_pipeline.hpp"
 
-#include <atomic>
 #include <stdexcept>
 
 #include "pipeline/features.hpp"
@@ -98,40 +97,19 @@ std::vector<core::Hypervector> HdFacePipeline::encode_dataset(
   prepare_concurrent();
   const std::uint64_t seed_base = core::mix64(config_.seed, kDatasetStreamSalt);
   const HdFacePipeline& frozen = *this;
-  const auto encode_range = [&](core::StochasticContext& scratch,
-                                std::size_t lo, std::size_t hi) {
-    for (std::size_t idx = lo; idx < hi; ++idx) {
-      scratch.reseed(core::mix64(seed_base, idx));
-      out[idx] = frozen.encode_image(data.images[idx], scratch);
-    }
-  };
-
-  util::ThreadPool& pool = util::global_pool();
-  if (pool.size() <= 1 || total <= 1) {
-    core::StochasticContext scratch = fork_context(seed_base);
-    core::OpCounter local;
-    if (feature_counter_) scratch.set_counter(&local);
-    encode_range(scratch, 0, total);
-    if (feature_counter_) feature_counter_->merge(local);
-    return out;
-  }
-  core::ShardedOpCounter shards(pool.size() * 4 + 1);
-  std::atomic<std::size_t> next_shard{0};
-  util::parallel_for_chunked(
-      pool, 0, total, 1,
-      [this, &frozen, seed_base, &shards, &next_shard,
-       &encode_range](std::size_t lo, std::size_t hi) {
+  const core::OpCounter ops = util::parallel_for_sharded<core::OpCounter>(
+      &util::global_pool(), 0, total, 1,
+      [this, &frozen, &data, &out, seed_base](
+          core::OpCounter& shard, std::size_t lo, std::size_t hi) {
         core::StochasticContext scratch =
             frozen.fork_context(core::mix64(seed_base, lo));
-        if (feature_counter_) {
-          // hdlint: allow(sched-dependent-value) — shard totals merge with
-          // integer adds, so combined() is exact at every thread count.
-          scratch.set_counter(&shards.shard(next_shard.fetch_add(1) %
-                                            shards.num_shards()));
+        if (feature_counter_) scratch.set_counter(&shard);
+        for (std::size_t idx = lo; idx < hi; ++idx) {
+          scratch.reseed(core::mix64(seed_base, idx));
+          out[idx] = frozen.encode_image(data.images[idx], scratch);
         }
-        encode_range(scratch, lo, hi);
       });
-  if (feature_counter_) feature_counter_->merge(shards.combined());
+  if (feature_counter_) feature_counter_->merge(ops);
   return out;
 }
 

@@ -1,10 +1,10 @@
 #include "pipeline/parallel_detect.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <memory>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 
 #include "core/rng.hpp"
 #include "hog/gradient.hpp"
@@ -20,27 +20,59 @@ namespace {
 // consumer of the pipeline seed.
 constexpr std::uint64_t kWindowStreamSalt = 0xBA7C4ED0ULL;
 
-// Resolve the execution resource. threads == 1 never dispatches; a caller
-// pool wins over the threads knob; otherwise 0 = global pool and N spins up
-// a call-local pool of exactly N workers.
-struct PoolChoice {
-  util::ThreadPool* pool = nullptr;
-  std::unique_ptr<util::ThreadPool> local;
-  bool serial() const { return pool == nullptr || pool->size() <= 1; }
+// One chunk's accounting, for every scan path. The runner merges the shards
+// once, after the scan, and run_scan publishes the totals to the config's
+// sinks — so every total is exact and identical at every thread count.
+struct ScanShard {
+  core::OpCounter ops;
+  CascadeStats cascade;
+  EncodeCacheStats cache;
+
+  void merge(const ScanShard& other) {
+    ops.merge(other.ops);
+    cascade.merge(other.cascade);
+    cache.merge(other.cache);
+  }
 };
 
-PoolChoice resolve_pool(const ParallelDetectConfig& config) {
-  PoolChoice choice;
-  choice.pool = config.pool;
-  if (choice.pool == nullptr && config.threads != 1) {
+// Run body(scratch, ops, shard, lo, hi) over the chunks of [0, total) and
+// publish the merged shard to the config's sinks. Callers first freeze the
+// shared mask pool with pipeline.prepare_concurrent() (the one mutation,
+// before any dispatch). threads == 1 runs one chunk on the caller; a caller
+// pool wins over the threads knob; otherwise 0 = the global pool and N = a
+// call-local pool of exactly N workers. Each chunk gets a scratch context
+// forked from the pipeline — bodies reseed it from a pure key before every
+// use, so the fork seed never reaches a result — counting into the shard's
+// OpCounter when the config carries a feature counter (`ops` is null
+// otherwise, which keeps the fused cell kernel armed).
+template <typename Body>
+void run_scan(const HdFacePipeline& pipeline,
+              const ParallelDetectConfig& config, std::size_t total,
+              const Body& body) {
+  std::unique_ptr<util::ThreadPool> local;
+  util::ThreadPool* pool = config.pool;
+  if (pool == nullptr && config.threads != 1) {
     if (config.threads == 0) {
-      choice.pool = &util::global_pool();
+      pool = &util::global_pool();
     } else {
-      choice.local = std::make_unique<util::ThreadPool>(config.threads);
-      choice.pool = choice.local.get();
+      local = std::make_unique<util::ThreadPool>(config.threads);
+      pool = local.get();
     }
   }
-  return choice;
+  const std::uint64_t seed = pipeline.config().seed;
+  const ScanShard totals = util::parallel_for_sharded<ScanShard>(
+      pool, 0, total, config.min_chunk,
+      [&pipeline, &config, &body, seed](ScanShard& shard, std::size_t lo,
+                                        std::size_t hi) {
+        core::StochasticContext scratch =
+            pipeline.fork_context(core::mix64(seed, lo));
+        core::OpCounter* ops = config.feature_counter ? &shard.ops : nullptr;
+        scratch.set_counter(ops);
+        body(scratch, ops, shard, lo, hi);
+      });
+  if (config.feature_counter) config.feature_counter->merge(totals.ops);
+  if (config.cascade_stats) config.cascade_stats->merge(totals.cascade);
+  if (config.cache_stats) config.cache_stats->merge(totals.cache);
 }
 
 DetectionMap make_map_geometry(const image::Image& scene, std::size_t window,
@@ -63,57 +95,119 @@ DetectionMap make_map_geometry(const image::Image& scene, std::size_t window,
   return map;
 }
 
-// Classify windows [lo, hi) of the row-major grid into map.predictions /
-// map.scores. Pure function of (pipeline, scene, window index) — the scratch
-// RNG restarts from the window seed before every window.
-void scan_range(const HdFacePipeline& pipeline, const image::Image& scene,
-                const DetectionMap& geometry, std::size_t window,
-                std::size_t stride, int positive_class, std::uint64_t seed_base,
-                const noise::FaultPlan* fault_plan,
-                core::StochasticContext& scratch, std::size_t lo, std::size_t hi,
-                std::vector<int>& predictions, std::vector<double>& scores) {
-  // One scratch patch per chunk, reused across its windows (crop_into).
-  image::Image patch;
-  for (std::size_t idx = lo; idx < hi; ++idx) {
-    const std::size_t sx = idx % geometry.steps_x;
-    const std::size_t sy = idx / geometry.steps_x;
-    scratch.reseed(core::mix64(seed_base, idx));
-    image::crop_into(scene, sx * stride, sy * stride, window, window, patch);
-    core::Hypervector feature = pipeline.encode_image(patch, scratch);
-    // In-flight query corruption (deterministic in the window index, so the
-    // bit-identical-at-any-thread-count contract holds for faulted scans too).
-    if (fault_plan) noise::apply_query_fault(*fault_plan, idx, feature);
-    const auto class_scores = pipeline.classifier().scores(feature);
-    predictions[idx] = static_cast<int>(
-        std::max_element(class_scores.begin(), class_scores.end()) -
-        class_scores.begin());
-    scores[idx] = class_scores[static_cast<std::size_t>(positive_class)];
+const hog::HdHogExtractor& require_hd_hog(HdFacePipeline& pipeline,
+                                          const char* entry) {
+  const hog::HdHogExtractor* extractor = pipeline.hd_extractor();
+  if (extractor == nullptr) {
+    throw std::invalid_argument(
+        std::string(entry) +
+        ": cell-plane scans require an HD-HOG pipeline (kOrigHogEncoder has "
+        "no hypervector encode to cache)");
+  }
+  return *extractor;
+}
+
+// The one validation of a cell-plane scan, run before any cell is encoded:
+// the cascade fits the call, the plane's cell/bin shape matches the
+// extractor, every scan window lands on the plane's grid with its far corner
+// inside, and a prescreen gets the parity subgrid it reads.
+void validate_plane_scan(const char* entry,
+                         const hog::HdHogExtractor& extractor,
+                         const hog::CellPlane& plane, const DetectionMap& map,
+                         const ParallelDetectConfig& config,
+                         int positive_class) {
+  const auto fail = [entry](const char* why) {
+    throw std::invalid_argument(std::string(entry) + ": " + why);
+  };
+  const Cascade* cascade = config.cascade;
+  if (cascade != nullptr && config.fault_plan != nullptr) {
+    fail("cascade scans are incompatible with fault_plan (in-flight query "
+         "faults need the full feature)");
+  }
+  if (cascade != nullptr && cascade->table().positive_class != positive_class) {
+    fail("cascade table positive_class mismatches the scan");
+  }
+  const std::size_t cell = extractor.config().hog.cell_size;
+  if (plane.cell_size != cell || plane.bins != extractor.config().hog.bins) {
+    fail("plane cell/bin shape mismatches the pipeline's extractor");
+  }
+  // Origins are the multiples of stride, so stride % grid_step == 0 puts
+  // every origin on the grid; the far-corner extent is monotone in the
+  // origin, so checking the last window covers the rest.
+  const std::size_t cells_per_side = map.window / cell;
+  if (plane.grid_step == 0 || map.stride % plane.grid_step != 0 ||
+      !plane.window_on_grid(0, 0, cells_per_side, cells_per_side) ||
+      !plane.window_on_grid((map.steps_x - 1) * map.stride,
+                            (map.steps_y - 1) * map.stride, cells_per_side,
+                            cells_per_side)) {
+    fail("plane does not cover the scan grid (build it with grid_step = "
+         "gcd(stride, cell_size) over the same scene)");
+  }
+  if (cascade != nullptr && cascade->has_prescreen() &&
+      plane.grid_step != cell) {
+    fail("a prescreen-carrying cascade table needs stride % cell_size == 0 "
+         "so the parity subgrid is well defined");
   }
 }
 
-// Cell-plane window assembly for windows [lo, hi): only the cheap per-window
-// tail runs here (plane slicing, vmax normalization, level lookup, weighted
-// bundling) — no stochastic context at all, so the result is trivially
-// independent of scheduling.
-void assemble_range(const HdFacePipeline& pipeline,
-                    const hog::HdHogExtractor& extractor,
-                    const hog::CellPlane& plane, const DetectionMap& geometry,
-                    std::size_t stride, int positive_class,
-                    const noise::FaultPlan* fault_plan,
-                    core::OpCounter* counter, std::size_t lo, std::size_t hi,
-                    std::vector<int>& predictions, std::vector<double>& scores) {
-  for (std::size_t idx = lo; idx < hi; ++idx) {
-    const std::size_t sx = idx % geometry.steps_x;
-    const std::size_t sy = idx / geometry.steps_x;
-    core::Hypervector feature =
-        extractor.extract_from_plane(plane, sx * stride, sy * stride, counter);
-    if (fault_plan) noise::apply_query_fault(*fault_plan, idx, feature);
-    const auto class_scores = pipeline.classifier().scores(feature);
-    predictions[idx] = static_cast<int>(
-        std::max_element(class_scores.begin(), class_scores.end()) -
-        class_scores.begin());
-    scores[idx] = class_scores[static_cast<std::size_t>(positive_class)];
+// Classify one encoded window into slot idx of the map. The plan's in-flight
+// query fault lands first; it is a pure function of (plan seed, window
+// index), so faulted scans keep the any-thread-count identity.
+void classify_window(const HdFacePipeline& pipeline,
+                     const ParallelDetectConfig& config, int positive_class,
+                     std::size_t idx, core::Hypervector& feature,
+                     DetectionMap& map) {
+  if (config.fault_plan) {
+    noise::apply_query_fault(*config.fault_plan, idx, feature);
   }
+  const auto class_scores = pipeline.classifier().scores(feature);
+  map.predictions[idx] = static_cast<int>(
+      std::max_element(class_scores.begin(), class_scores.end()) -
+      class_scores.begin());
+  map.scores[idx] = class_scores[static_cast<std::size_t>(positive_class)];
+}
+
+// Returns encode(plane, gx, gy, scratch, out), which encodes grid cell
+// (gx, gy) on a chunk's scratch context reseeded from the pure (seed,
+// scale_index, gx, gy) key: a cell holds the same bytes whichever thread,
+// order or plane mode computes it. The scene-scale pixel→level pass is shared
+// by every cell (the per-cell chain reads border pixels up to four times, and
+// shared borders once per adjacent cell).
+auto cell_encoder(const HdFacePipeline& pipeline,
+                  const hog::HdHogExtractor& extractor,
+                  const image::Image& scene,
+                  const ParallelDetectConfig& config) {
+  return [&extractor, &scene, &config, seed = pipeline.config().seed,
+          levels =
+              hog::build_level_index_plane(scene, extractor.item_memory())](
+             const hog::CellPlane& plane, std::size_t gx, std::size_t gy,
+             core::StochasticContext& scratch, double* out) {
+    scratch.reseed(hog::cell_plane_seed(seed, config.scale_index, gx, gy));
+    extractor.cell_raw_values(scene, &levels, gx * plane.grid_step,
+                              gy * plane.grid_step, scratch, out,
+                              config.reference_cell_chain);
+  };
+}
+
+// Fill every cell of `plane` (fresh geometry from make_cell_plane_geometry).
+hog::CellPlane fill_cell_plane(const HdFacePipeline& pipeline,
+                               const hog::HdHogExtractor& extractor,
+                               const image::Image& scene, hog::CellPlane plane,
+                               const ParallelDetectConfig& config) {
+  const auto encode = cell_encoder(pipeline, extractor, scene, config);
+  run_scan(pipeline, config, plane.cells(),
+           [&plane, &encode](core::StochasticContext& scratch,
+                             core::OpCounter*, ScanShard& shard,
+                             std::size_t lo, std::size_t hi) {
+             for (std::size_t idx = lo; idx < hi; ++idx) {
+               const std::size_t gx = idx % plane.grid_x;
+               const std::size_t gy = idx / plane.grid_x;
+               encode(plane, gx, gy, scratch, plane.mutable_cell(gx, gy));
+             }
+             shard.cache.cells_computed += hi - lo;
+             shard.cache.cells_total += hi - lo;
+           });
+  return plane;
 }
 
 // Number of even values in [g0, g0 + count) — the parity-subgrid cell count
@@ -122,300 +216,134 @@ std::size_t even_count(std::size_t g0, std::size_t count) {
   return (count + 1 - (g0 & 1)) / 2;
 }
 
-// Cascaded cell-plane scan for windows [lo, hi): staged prefix scoring with
-// early rejection (see pipeline/cascade.hpp), preceded by the table's
-// parity-cell prescreen when it carries one. Shares the plane with the exact
-// path; survivors produce bit-identical (prediction, score). Stage counters
-// accumulate into the chunk-local `stats`, slot-read accounting into the
-// chunk-local `estats` (a prescreen-rejected window consumes only its parity
-// slots, so the geometric total·slots formula no longer applies here).
-void cascade_range(const HdFacePipeline& pipeline,
-                   const hog::HdHogExtractor& extractor,
-                   const hog::CellPlane& plane, const DetectionMap& geometry,
-                   std::size_t stride, const Cascade& cascade,
-                   core::OpCounter* counter, CascadeStats& stats,
-                   EncodeCacheStats& estats, std::size_t lo, std::size_t hi,
-                   std::vector<int>& predictions, std::vector<double>& scores) {
-  hog::HdHogExtractor::StagedWindow win(extractor);
-  Cascade::Scratch scratch;
-  const bool prescreen = cascade.has_prescreen();
-  const std::size_t cells_per_side =
-      geometry.window / extractor.config().hog.cell_size;
+// Read-only state shared by every chunk of one cell-plane scan.
+struct PlaneScan {
+  const HdFacePipeline& pipeline;
+  const hog::HdHogExtractor& extractor;
+  const hog::CellPlane& plane;
+  const ParallelDetectConfig& config;
+  int positive_class;
+};
+
+// The window kernel of every cell-plane scan, over windows [lo, hi) of the
+// map. The cell source is `ensure(gx, gy)`, called for each cell before a
+// window reads it: a no-op on a prebuilt plane, the once-per-cell encode on a
+// LazyCellPlane. With a prescreen-carrying cascade a window first ensures
+// only its even/even parity cells and prescreens on them; only survivors
+// ensure their full cell set. Scoring is the cascade's staged prefix path
+// when the config carries one (survivors bit-identical to the exact path),
+// else the exact full-D path. Nothing here draws randomness, so results are
+// independent of scheduling; accounting lands in the chunk's shard (a
+// prescreen-rejected window reads only its parity slots).
+template <typename Ensure>
+void scan_windows(const PlaneScan& scan, const Ensure& ensure,
+                  core::OpCounter* ops, ScanShard& shard, std::size_t lo,
+                  std::size_t hi, DetectionMap& map) {
+  const hog::CellPlane& plane = scan.plane;
+  const Cascade* cascade = scan.config.cascade;
+  const bool prescreen = cascade != nullptr && cascade->has_prescreen();
+  const std::size_t cell = scan.extractor.config().hog.cell_size;
+  const std::size_t cells_per_side = map.window / cell;
+  // Grid cells between adjacent window cells (1 when grid_step == cell).
+  const std::size_t gstep = cell / plane.grid_step;
+  hog::HdHogExtractor::StagedWindow win(scan.extractor);
+  Cascade::Scratch cascade_scratch;
   for (std::size_t idx = lo; idx < hi; ++idx) {
-    const std::size_t sx = idx % geometry.steps_x;
-    const std::size_t sy = idx / geometry.steps_x;
-    const std::size_t ox = sx * stride;
-    const std::size_t oy = sy * stride;
-    ++estats.windows_assembled;
+    const std::size_t ox = (idx % map.steps_x) * map.stride;
+    const std::size_t oy = (idx / map.steps_x) * map.stride;
+    const std::size_t gx0 = ox / plane.grid_step;
+    const std::size_t gy0 = oy / plane.grid_step;
+    ++shard.cache.windows_assembled;
     if (prescreen) {
-      // Prescreen geometry requires grid_step == cell_size (validated by the
-      // caller), so the window's cells sit at consecutive grid coordinates.
-      estats.slot_reads += even_count(ox / plane.grid_step, cells_per_side) *
-                           even_count(oy / plane.grid_step, cells_per_side) *
-                           plane.bins;
-      win.reset_prescreen(plane, ox, oy, cascade.table().prescreen_vmax);
-      const Cascade::Result r = cascade.prescreen(win, scratch, stats, counter);
+      // Parity pass (gstep == 1: validate_plane_scan pinned grid_step ==
+      // cell for prescreen tables).
+      for (std::size_t gy = gy0; gy < gy0 + cells_per_side; ++gy) {
+        for (std::size_t gx = gx0; gx < gx0 + cells_per_side; ++gx) {
+          if (gx % 2 == 0 && gy % 2 == 0) ensure(gx, gy);
+        }
+      }
+      shard.cache.slot_reads += even_count(gx0, cells_per_side) *
+                                even_count(gy0, cells_per_side) * plane.bins;
+      win.reset_prescreen(plane, ox, oy, cascade->table().prescreen_vmax);
+      const Cascade::Result r =
+          cascade->prescreen(win, cascade_scratch, shard.cascade, ops);
       if (r.rejected) {
-        predictions[idx] = r.prediction;
-        scores[idx] = r.score;
+        map.predictions[idx] = r.prediction;
+        map.scores[idx] = r.score;
         continue;
       }
     }
-    estats.slot_reads += extractor.slots();
-    win.reset(plane, ox, oy);
-    const Cascade::Result r =
-        cascade.classify(pipeline.classifier(), win, scratch, stats, counter);
-    predictions[idx] = r.prediction;
-    scores[idx] = r.score;
+    for (std::size_t cy = 0; cy < cells_per_side; ++cy) {
+      for (std::size_t cx = 0; cx < cells_per_side; ++cx) {
+        ensure(gx0 + cx * gstep, gy0 + cy * gstep);
+      }
+    }
+    shard.cache.slot_reads += scan.extractor.slots();
+    if (cascade != nullptr) {
+      win.reset(plane, ox, oy);
+      const Cascade::Result r = cascade->classify(
+          scan.pipeline.classifier(), win, cascade_scratch, shard.cascade, ops);
+      map.predictions[idx] = r.prediction;
+      map.scores[idx] = r.score;
+    } else {
+      core::Hypervector feature =
+          scan.extractor.extract_from_plane(plane, ox, oy, ops);
+      classify_window(scan.pipeline, scan.config, scan.positive_class, idx,
+                      feature, map);
+    }
   }
 }
 
-// Shared cascade-config validation: the same throws whether the caller goes
-// through detect_windows_parallel (fast-fail, before the plane build) or
-// detect_windows_on_plane.
-void validate_cascade_config(const ParallelDetectConfig& config,
-                             int positive_class) {
-  if (config.cascade == nullptr) return;
-  if (config.fault_plan != nullptr) {
-    throw std::invalid_argument(
-        "detect_windows_parallel: cascade scans are incompatible with "
-        "fault_plan (in-flight query faults need the full feature)");
-  }
-  if (config.cascade->table().positive_class != positive_class) {
-    throw std::invalid_argument(
-        "detect_windows_parallel: cascade table positive_class mismatches "
-        "the scan");
-  }
+// Scan every window of `map` on a fully materialized plane.
+void scan_prebuilt_plane(const PlaneScan& scan, DetectionMap& map) {
+  run_scan(scan.pipeline, scan.config, map.predictions.size(),
+           [&scan, &map](core::StochasticContext&, core::OpCounter* ops,
+                         ScanShard& shard, std::size_t lo, std::size_t hi) {
+             scan_windows(scan, [](std::size_t, std::size_t) {}, ops, shard,
+                          lo, hi, map);
+           });
 }
 
-// Lazy cell-plane scan (PlaneMode::kLazy): the plane starts empty and a cell
-// is encoded the first time any window reads it (hog/lazy_cell_plane.hpp).
-// With a prescreen-carrying cascade each window first materializes only its
-// even/even parity cells, prescreens on them, and escalates to the full cell
-// set only on survival — cells belonging exclusively to prescreen-rejected
-// windows are never encoded. Every cell reseeds from the same pure
-// (seed, scale, gx, gy) key as the eager build, so the DetectionMap is
-// bit-identical to kEager at any thread count and any scheduling: laziness
-// changes WHEN (and whether) a cell's bytes are computed, never the bytes.
-DetectionMap detect_windows_lazy_plane(HdFacePipeline& pipeline,
-                                       const image::Image& scene,
-                                       std::size_t window, std::size_t stride,
-                                       int positive_class,
-                                       const ParallelDetectConfig& config) {
-  DetectionMap map = make_map_geometry(scene, window, stride);
-  const std::size_t total = map.steps_x * map.steps_y;
-  validate_cascade_config(config, positive_class);
-
-  const hog::HdHogExtractor* extractor = pipeline.hd_extractor();
-  if (extractor == nullptr) {
-    throw std::invalid_argument(
-        "detect_windows_parallel: cell_plane encode requires an HD-HOG "
-        "pipeline (kOrigHogEncoder has no hypervector encode to cache)");
-  }
-  const std::size_t cell = extractor->config().hog.cell_size;
-  const std::size_t bins = extractor->config().hog.bins;
-  const std::size_t grid_step = std::gcd(stride, cell);
-  const bool prescreen =
-      config.cascade != nullptr && config.cascade->has_prescreen();
-  if (prescreen && grid_step != cell) {
-    throw std::invalid_argument(
-        "detect_windows_parallel: a prescreen-carrying cascade table needs "
-        "stride % cell_size == 0 so the parity subgrid is well defined");
-  }
-
-  hog::LazyCellPlane lazy(hog::make_cell_plane_geometry(
-      scene.width(), scene.height(), cell, bins, grid_step,
-      config.scale_index));
+// Scan every window of `map` on a lazy plane over `geometry`: a cell is
+// encoded the first time any window reads it, and cells read only by
+// prescreen-rejected windows are never encoded. Every cell reseeds from the
+// same pure key as the eager build, so the map is bit-identical to kEager at
+// any thread count: laziness changes when (and whether) a cell's bytes are
+// computed, never the bytes. Threads write disjoint cells (the once-gate
+// serializes racers per cell) and read only cells they ensured.
+void scan_lazy_plane(const HdFacePipeline& pipeline,
+                     const hog::HdHogExtractor& extractor,
+                     const image::Image& scene, hog::CellPlane geometry,
+                     const ParallelDetectConfig& config, int positive_class,
+                     DetectionMap& map) {
+  hog::LazyCellPlane lazy(std::move(geometry));
   const hog::CellPlane& plane = lazy.plane();
-  const std::size_t cells_per_side = window / cell;
-  if (!plane.window_on_grid(0, 0, cells_per_side, cells_per_side) ||
-      !plane.window_on_grid((map.steps_x - 1) * stride,
-                            (map.steps_y - 1) * stride, cells_per_side,
-                            cells_per_side)) {
-    throw std::invalid_argument(
-        "detect_windows_parallel: lazy cell plane does not cover the scan "
-        "grid");
-  }
-  // Grid cells between adjacent window cells (1 when grid_step == cell).
-  const std::size_t gstep = cell / plane.grid_step;
-
-  // The one mutation, before any dispatch: freeze the shared mask pool.
-  pipeline.prepare_concurrent();
-  const std::uint64_t seed = pipeline.config().seed;
-  const HdFacePipeline& frozen = pipeline;
-  // Scene-scale pixel→level planar pass shared by every cell encode (see
-  // build_scene_cell_plane).
-  const hog::LevelIndexPlane levels =
-      hog::build_level_index_plane(scene, extractor->item_memory());
-
-  // Window work for [lo, hi): materialize the cells the window actually
-  // reads, then score it exactly like the eager paths. Threads write disjoint
-  // cells (the once-gate serializes racers per cell) and read only cells they
-  // ensured, so the plane needs no further locking.
-  const auto run_range = [&](core::StochasticContext& scratch,
-                             core::OpCounter* counter, CascadeStats& cstats,
-                             EncodeCacheStats& estats, std::size_t lo,
-                             std::size_t hi) {
-    hog::HdHogExtractor::StagedWindow win(*extractor);
-    Cascade::Scratch cascade_scratch;
-    const auto ensure = [&](std::size_t gx, std::size_t gy) {
-      ++estats.ensure_checks;
-      lazy.ensure_cell(gx, gy, [&](double* out) {
-        scratch.reseed(hog::cell_plane_seed(seed, config.scale_index, gx, gy));
-        extractor->cell_raw_values(scene, &levels, gx * plane.grid_step,
-                                   gy * plane.grid_step, scratch, out,
-                                   config.reference_cell_chain);
-      });
-    };
-    for (std::size_t idx = lo; idx < hi; ++idx) {
-      const std::size_t sx = idx % map.steps_x;
-      const std::size_t sy = idx / map.steps_x;
-      const std::size_t ox = sx * stride;
-      const std::size_t oy = sy * stride;
-      const std::size_t gx0 = ox / plane.grid_step;
-      const std::size_t gy0 = oy / plane.grid_step;
-      ++estats.windows_assembled;
-      if (prescreen) {
-        // Parity pass: only the window's even/even cells (gstep == 1 here —
-        // grid_step == cell was validated above).
-        std::size_t parity_cells = 0;
-        for (std::size_t cy = 0; cy < cells_per_side; ++cy) {
-          const std::size_t gy = gy0 + cy;
-          if (gy % 2 != 0) continue;
-          for (std::size_t cx = 0; cx < cells_per_side; ++cx) {
-            const std::size_t gx = gx0 + cx;
-            if (gx % 2 != 0) continue;
-            ensure(gx, gy);
-            ++parity_cells;
-          }
-        }
-        estats.slot_reads += parity_cells * bins;
-        win.reset_prescreen(plane, ox, oy,
-                            config.cascade->table().prescreen_vmax);
-        const Cascade::Result r =
-            config.cascade->prescreen(win, cascade_scratch, cstats, counter);
-        if (r.rejected) {
-          map.predictions[idx] = r.prediction;
-          map.scores[idx] = r.score;
-          continue;
-        }
-      }
-      for (std::size_t cy = 0; cy < cells_per_side; ++cy) {
-        for (std::size_t cx = 0; cx < cells_per_side; ++cx) {
-          ensure(gx0 + cx * gstep, gy0 + cy * gstep);
-        }
-      }
-      estats.slot_reads += extractor->slots();
-      if (config.cascade != nullptr) {
-        win.reset(plane, ox, oy);
-        const Cascade::Result r = config.cascade->classify(
-            frozen.classifier(), win, cascade_scratch, cstats, counter);
-        map.predictions[idx] = r.prediction;
-        map.scores[idx] = r.score;
-      } else {
-        core::Hypervector feature =
-            extractor->extract_from_plane(plane, ox, oy, counter);
-        if (config.fault_plan) {
-          noise::apply_query_fault(*config.fault_plan, idx, feature);
-        }
-        const auto class_scores = frozen.classifier().scores(feature);
-        map.predictions[idx] = static_cast<int>(
-            std::max_element(class_scores.begin(), class_scores.end()) -
-            class_scores.begin());
-        map.scores[idx] =
-            class_scores[static_cast<std::size_t>(positive_class)];
-      }
-    }
-  };
-
-  PoolChoice exec = resolve_pool(config);
-  if (exec.serial()) {
-    core::StochasticContext scratch = frozen.fork_context(seed);
-    core::OpCounter local;
-    if (config.feature_counter) scratch.set_counter(&local);
-    CascadeStats cascade_local;
-    EncodeCacheStats cache_local;
-    run_range(scratch, config.feature_counter ? &local : nullptr,
-              cascade_local, cache_local, 0, total);
-    if (config.feature_counter) config.feature_counter->merge(local);
-    if (config.cascade != nullptr && config.cascade_stats) {
-      config.cascade_stats->merge(cascade_local);
-    }
-    if (config.cache_stats) config.cache_stats->merge(cache_local);
-  } else {
-    core::ShardedOpCounter shards(exec.pool->size() * 4 + 1);
-    std::vector<CascadeStats> stat_shards(shards.num_shards());
-    std::vector<EncodeCacheStats> cache_shards(shards.num_shards());
-    std::atomic<std::size_t> next_shard{0};
-    util::parallel_for_chunked(
-        *exec.pool, 0, total, config.min_chunk,
-        [&run_range, &frozen, &config, &shards, &stat_shards, &cache_shards,
-         &next_shard, seed](std::size_t lo, std::size_t hi) {
-          core::StochasticContext scratch =
-              frozen.fork_context(core::mix64(seed, lo));
-          // hdlint: allow(sched-dependent-value) — shard totals merge with
-          // integer adds, so combined() is exact at every thread count.
-          const std::size_t slot = next_shard.fetch_add(1) %
-                                   shards.num_shards();
-          core::OpCounter* shard = nullptr;
-          if (config.feature_counter) {
-            shard = &shards.shard(slot);
-            scratch.set_counter(shard);
-          }
-          run_range(scratch, shard, stat_shards[slot], cache_shards[slot], lo,
-                    hi);
-        });
-    if (config.feature_counter) config.feature_counter->merge(shards.combined());
-    if (config.cascade != nullptr && config.cascade_stats) {
-      for (const CascadeStats& s : stat_shards) config.cascade_stats->merge(s);
-    }
-    if (config.cache_stats) {
-      for (const EncodeCacheStats& s : cache_shards) {
-        config.cache_stats->merge(s);
-      }
-    }
-  }
+  const PlaneScan scan{pipeline, extractor, plane, config, positive_class};
+  const auto encode = cell_encoder(pipeline, extractor, scene, config);
+  run_scan(pipeline, config, map.predictions.size(),
+           [&scan, &lazy, &plane, &encode, &map](
+               core::StochasticContext& scratch, core::OpCounter* ops,
+               ScanShard& shard, std::size_t lo, std::size_t hi) {
+             const auto ensure = [&lazy, &plane, &encode, &scratch, &shard](
+                                     std::size_t gx, std::size_t gy) {
+               ++shard.cache.ensure_checks;
+               lazy.ensure_cell(gx, gy, [&](double* out) {
+                 encode(plane, gx, gy, scratch, out);
+               });
+             };
+             scan_windows(scan, ensure, ops, shard, lo, hi, map);
+           });
   if (config.cache_stats) {
     // Compute-side accounting from the materialization flags: the SET of
     // materialized cells is a pure function of (model, scene, table) — which
     // thread filled a cell varies, whether it got filled does not.
     config.cache_stats->cells_total += plane.cells();
     config.cache_stats->cells_computed += lazy.count_materialized(false);
-    if (prescreen) {
+    if (config.cascade != nullptr && config.cascade->has_prescreen()) {
       config.cache_stats->cells_forced_prescreen +=
           lazy.count_materialized(true);
     }
   }
-  return map;
-}
-
-DetectionMap detect_windows_cell_plane(HdFacePipeline& pipeline,
-                                       const image::Image& scene,
-                                       std::size_t window, std::size_t stride,
-                                       int positive_class,
-                                       const ParallelDetectConfig& config) {
-  if (config.plane_mode == PlaneMode::kLazy) {
-    return detect_windows_lazy_plane(pipeline, scene, window, stride,
-                                     positive_class, config);
-  }
-  // Fast-fail on scan-config errors before paying for the plane build
-  // (detect_windows_on_plane re-validates; both are cheap).
-  (void)make_map_geometry(scene, window, stride);
-  validate_cascade_config(config, positive_class);
-
-  const hog::HdHogExtractor* extractor = pipeline.hd_extractor();
-  // build_scene_cell_plane re-validates, but the error should name the scan.
-  if (extractor == nullptr) {
-    throw std::invalid_argument(
-        "detect_windows_parallel: cell_plane encode requires an HD-HOG "
-        "pipeline (kOrigHogEncoder has no hypervector encode to cache)");
-  }
-  const std::size_t cell = extractor->config().hog.cell_size;
-  const std::size_t grid_step = std::gcd(stride, cell);
-  const hog::CellPlane plane =
-      build_scene_cell_plane(pipeline, scene, grid_step, config);
-  return detect_windows_on_plane(pipeline, scene, plane, window, stride,
-                                 positive_class, config);
 }
 
 }  // namespace
@@ -427,124 +355,13 @@ DetectionMap detect_windows_on_plane(HdFacePipeline& pipeline,
                                      int positive_class,
                                      const ParallelDetectConfig& config) {
   DetectionMap map = make_map_geometry(scene, window, stride);
-  const std::size_t total = map.steps_x * map.steps_y;
-  validate_cascade_config(config, positive_class);
-
-  const hog::HdHogExtractor* extractor = pipeline.hd_extractor();
-  if (extractor == nullptr) {
-    throw std::invalid_argument(
-        "detect_windows_on_plane: pipeline has no HD-HOG extractor");
-  }
-  const std::size_t cell = extractor->config().hog.cell_size;
-  const std::size_t bins = extractor->config().hog.bins;
-  if (plane.cell_size != cell || plane.bins != bins) {
-    throw std::invalid_argument(
-        "detect_windows_on_plane: plane cell/bin shape mismatches the "
-        "pipeline's extractor");
-  }
-  // Every scan window must land on the plane's grid with its far corner
-  // inside. Origins are the multiples of stride, so stride % grid_step == 0
-  // puts every origin on the grid; the far-corner extent is monotone in the
-  // origin, so checking the last window covers the rest.
-  const std::size_t cells_per_side = window / cell;
-  if (plane.grid_step == 0 || stride % plane.grid_step != 0 ||
-      !plane.window_on_grid(0, 0, cells_per_side, cells_per_side) ||
-      !plane.window_on_grid((map.steps_x - 1) * stride,
-                            (map.steps_y - 1) * stride, cells_per_side,
-                            cells_per_side)) {
-    throw std::invalid_argument(
-        "detect_windows_on_plane: plane does not cover the scan grid (build "
-        "it with grid_step = gcd(stride, cell_size) over the same scene)");
-  }
-  if (config.cascade != nullptr && config.cascade->has_prescreen() &&
-      plane.grid_step != cell) {
-    throw std::invalid_argument(
-        "detect_windows_on_plane: a prescreen-carrying cascade table needs "
-        "the plane grid step to equal the cell size (stride % cell_size == 0) "
-        "so the parity subgrid is well defined");
-  }
-
-  // The one mutation, before any dispatch: freeze the shared mask pool.
+  const hog::HdHogExtractor& extractor =
+      require_hd_hog(pipeline, "detect_windows_on_plane");
+  validate_plane_scan("detect_windows_on_plane", extractor, plane, map, config,
+                      positive_class);
   pipeline.prepare_concurrent();
-  const HdFacePipeline& frozen = pipeline;
-  const std::size_t slots_per_window = extractor->slots();
-
-  PoolChoice exec = resolve_pool(config);
-  if (exec.serial()) {
-    core::OpCounter local;
-    CascadeStats cascade_local;
-    EncodeCacheStats cache_local;
-    if (config.cascade != nullptr) {
-      cascade_range(frozen, *extractor, plane, map, stride, *config.cascade,
-                    config.feature_counter ? &local : nullptr, cascade_local,
-                    cache_local, 0, total, map.predictions, map.scores);
-    } else {
-      assemble_range(frozen, *extractor, plane, map, stride, positive_class,
-                     config.fault_plan,
-                     config.feature_counter ? &local : nullptr, 0, total,
-                     map.predictions, map.scores);
-    }
-    if (config.feature_counter) config.feature_counter->merge(local);
-    if (config.cascade != nullptr && config.cascade_stats) {
-      config.cascade_stats->merge(cascade_local);
-    }
-    if (config.cascade != nullptr && config.cache_stats) {
-      config.cache_stats->merge(cache_local);
-    }
-  } else {
-    core::ShardedOpCounter shards(exec.pool->size() * 4 + 1);
-    // Stage counters shard exactly like op counters: each chunk claims one
-    // padded slot, totals merge with integer adds after the scan, so the
-    // combined stats are exact and identical at every thread count.
-    std::vector<CascadeStats> stat_shards(
-        config.cascade != nullptr ? shards.num_shards() : 0);
-    std::vector<EncodeCacheStats> cache_shards(
-        config.cascade != nullptr ? shards.num_shards() : 0);
-    std::atomic<std::size_t> next_shard{0};
-    util::parallel_for_chunked(
-        *exec.pool, 0, total, config.min_chunk,
-        [&config, &shards, &stat_shards, &cache_shards, &next_shard, &frozen,
-         &extractor, &plane, &map, stride,
-         positive_class](std::size_t lo, std::size_t hi) {
-          core::OpCounter* shard = nullptr;
-          std::size_t slot = 0;
-          if (config.feature_counter || config.cascade != nullptr) {
-            // hdlint: allow(sched-dependent-value) — shard totals merge with
-            // integer adds, so combined() is exact at every thread count.
-            slot = next_shard.fetch_add(1) % shards.num_shards();
-            if (config.feature_counter) shard = &shards.shard(slot);
-          }
-          if (config.cascade != nullptr) {
-            cascade_range(frozen, *extractor, plane, map, stride,
-                          *config.cascade, shard, stat_shards[slot],
-                          cache_shards[slot], lo, hi, map.predictions,
-                          map.scores);
-          } else {
-            assemble_range(frozen, *extractor, plane, map, stride,
-                           positive_class, config.fault_plan, shard, lo, hi,
-                           map.predictions, map.scores);
-          }
-        });
-    if (config.feature_counter) config.feature_counter->merge(shards.combined());
-    if (config.cascade != nullptr && config.cascade_stats) {
-      for (const CascadeStats& s : stat_shards) config.cascade_stats->merge(s);
-    }
-    if (config.cascade != nullptr && config.cache_stats) {
-      for (const EncodeCacheStats& s : cache_shards) {
-        config.cache_stats->merge(s);
-      }
-    }
-  }
-  if (config.cache_stats && config.cascade == nullptr) {
-    // Assembly-side accounting is a pure function of the grid geometry (every
-    // window reads exactly slots() cached values), so the totals are exact by
-    // construction; the compute side was tallied by build_scene_cell_plane.
-    // Cascaded scans account per window inside cascade_range instead — a
-    // prescreen-rejected window reads only its parity slots.
-    config.cache_stats->slot_reads +=
-        static_cast<std::uint64_t>(total) * slots_per_window;
-    config.cache_stats->windows_assembled += total;
-  }
+  scan_prebuilt_plane({pipeline, extractor, plane, config, positive_class},
+                      map);
   return map;
 }
 
@@ -552,76 +369,15 @@ hog::CellPlane build_scene_cell_plane(HdFacePipeline& pipeline,
                                       const image::Image& scene,
                                       std::size_t grid_step,
                                       const ParallelDetectConfig& config) {
-  const hog::HdHogExtractor* extractor = pipeline.hd_extractor();
-  if (extractor == nullptr) {
-    throw std::invalid_argument(
-        "build_scene_cell_plane: pipeline has no HD-HOG extractor");
-  }
-  const hog::HdHogConfig& hd = extractor->config();
-  hog::CellPlane plane = hog::make_cell_plane_geometry(
-      scene.width(), scene.height(), hd.hog.cell_size, hd.hog.bins, grid_step,
+  const hog::HdHogExtractor& extractor =
+      require_hd_hog(pipeline, "build_scene_cell_plane");
+  const hog::HogConfig& hog = extractor.config().hog;
+  hog::CellPlane geometry = hog::make_cell_plane_geometry(
+      scene.width(), scene.height(), hog.cell_size, hog.bins, grid_step,
       config.scale_index);
-  const std::size_t total = plane.cells();
-
-  // The one mutation, before any dispatch: freeze the shared mask pool.
   pipeline.prepare_concurrent();
-  const std::uint64_t seed = pipeline.config().seed;
-  const HdFacePipeline& frozen = pipeline;
-
-  // Scene-scale planar pass shared by every cell: quantize each pixel to its
-  // item-memory level index once, so the per-cell chain (which reads border
-  // pixels up to four times, and shared borders once per adjacent cell) does
-  // table lookups instead of repeated level searches.
-  const hog::LevelIndexPlane levels =
-      hog::build_level_index_plane(scene, extractor->item_memory());
-
-  // Per-cell work on [lo, hi): reseed from the pure (seed, scale, gx, gy)
-  // key, then run the cell's stochastic chain into the plane.
-  const auto fill_range = [&](core::StochasticContext& scratch, std::size_t lo,
-                              std::size_t hi) {
-    for (std::size_t idx = lo; idx < hi; ++idx) {
-      const std::size_t gx = idx % plane.grid_x;
-      const std::size_t gy = idx / plane.grid_x;
-      scratch.reseed(
-          hog::cell_plane_seed(seed, config.scale_index, gx, gy));
-      extractor->cell_raw_values(scene, &levels, gx * plane.grid_step,
-                                 gy * plane.grid_step, scratch,
-                                 plane.mutable_cell(gx, gy),
-                                 config.reference_cell_chain);
-    }
-  };
-
-  PoolChoice exec = resolve_pool(config);
-  if (exec.serial()) {
-    core::StochasticContext scratch = frozen.fork_context(seed);
-    core::OpCounter local;
-    if (config.feature_counter) scratch.set_counter(&local);
-    fill_range(scratch, 0, total);
-    if (config.feature_counter) config.feature_counter->merge(local);
-  } else {
-    core::ShardedOpCounter shards(exec.pool->size() * 4 + 1);
-    std::atomic<std::size_t> next_shard{0};
-    util::parallel_for_chunked(
-        *exec.pool, 0, total, config.min_chunk,
-        [&frozen, seed, &config, &shards, &next_shard,
-         &fill_range](std::size_t lo, std::size_t hi) {
-          core::StochasticContext scratch =
-              frozen.fork_context(core::mix64(seed, lo));
-          if (config.feature_counter) {
-            // hdlint: allow(sched-dependent-value) — shard totals merge with
-            // integer adds, so combined() is exact at every thread count.
-            scratch.set_counter(&shards.shard(next_shard.fetch_add(1) %
-                                              shards.num_shards()));
-          }
-          fill_range(scratch, lo, hi);
-        });
-    if (config.feature_counter) config.feature_counter->merge(shards.combined());
-  }
-  if (config.cache_stats) {
-    config.cache_stats->cells_computed += total;
-    config.cache_stats->cells_total += total;
-  }
-  return plane;
+  return fill_cell_plane(pipeline, extractor, scene, std::move(geometry),
+                         config);
 }
 
 DetectionMap detect_windows_parallel(HdFacePipeline& pipeline,
@@ -636,57 +392,53 @@ DetectionMap detect_windows_parallel(HdFacePipeline& pipeline,
         "EncodeMode::kCellPlane (the per-window encode has no plane to "
         "materialize)");
   }
-  if (config.encode_mode == EncodeMode::kCellPlane) {
-    return detect_windows_cell_plane(pipeline, scene, window, stride,
-                                     positive_class, config);
-  }
   DetectionMap map = make_map_geometry(scene, window, stride);
-  const std::size_t total = map.steps_x * map.steps_y;
 
-  // The one mutation, before any dispatch: freeze the shared mask pool.
-  pipeline.prepare_concurrent();
-  const std::uint64_t seed_base =
-      core::mix64(pipeline.config().seed, kWindowStreamSalt);
-  const HdFacePipeline& frozen = pipeline;
-
-  PoolChoice exec = resolve_pool(config);
-  if (exec.serial()) {
-    core::StochasticContext scratch = frozen.fork_context(seed_base);
-    core::OpCounter local;
-    if (config.feature_counter) scratch.set_counter(&local);
-    scan_range(frozen, scene, map, window, stride, positive_class, seed_base,
-               config.fault_plan, scratch, 0, total, map.predictions,
-               map.scores);
-    if (config.feature_counter) config.feature_counter->merge(local);
+  if (config.encode_mode == EncodeMode::kPerWindow) {
+    pipeline.prepare_concurrent();
+    const HdFacePipeline& frozen = pipeline;
+    const std::uint64_t seed_base =
+        core::mix64(pipeline.config().seed, kWindowStreamSalt);
+    // Each window crops its patch and runs the full chain on the scratch
+    // context reseeded from mix64(seed_base, idx): a pure function of
+    // (pipeline, window pixels, window index).
+    run_scan(frozen, config, map.predictions.size(),
+             [&frozen, &scene, &config, &map, window, positive_class,
+              seed_base](core::StochasticContext& scratch, core::OpCounter*,
+                         ScanShard&, std::size_t lo, std::size_t hi) {
+               image::Image patch;  // reused across the chunk's windows
+               for (std::size_t idx = lo; idx < hi; ++idx) {
+                 scratch.reseed(core::mix64(seed_base, idx));
+                 image::crop_into(scene, (idx % map.steps_x) * map.stride,
+                                  (idx / map.steps_x) * map.stride, window,
+                                  window, patch);
+                 core::Hypervector feature =
+                     frozen.encode_image(patch, scratch);
+                 classify_window(frozen, config, positive_class, idx, feature,
+                                 map);
+               }
+             });
     return map;
   }
 
-  // One counter shard per chunk, claimed in dispatch order. Shard totals
-  // merge after the scan; addition commutes, so the merged counts are exact
-  // and identical at every thread count.
-  core::ShardedOpCounter shards(exec.pool->size() * 4 + 1);
-  std::atomic<std::size_t> next_shard{0};
-  util::parallel_for_chunked(
-      *exec.pool, 0, total, config.min_chunk,
-      [&frozen, &scene, &map, window, stride, positive_class, seed_base,
-       &config, &shards, &next_shard](std::size_t lo, std::size_t hi) {
-        core::StochasticContext scratch =
-            frozen.fork_context(core::mix64(seed_base, lo));
-        core::OpCounter* shard = nullptr;
-        if (config.feature_counter) {
-          // Shard choice is scheduling-dependent; shard totals are merged
-          // with integer adds (commutative), so combined() is exact and
-          // identical at every thread count.
-          // hdlint: allow(sched-dependent-value)
-          shard = &shards.shard(next_shard.fetch_add(1) %
-                                shards.num_shards());
-          scratch.set_counter(shard);
-        }
-        scan_range(frozen, scene, map, window, stride, positive_class,
-                   seed_base, config.fault_plan, scratch, lo, hi,
-                   map.predictions, map.scores);
-      });
-  if (config.feature_counter) config.feature_counter->merge(shards.combined());
+  const hog::HdHogExtractor& extractor =
+      require_hd_hog(pipeline, "detect_windows_parallel");
+  const hog::HogConfig& hog = extractor.config().hog;
+  hog::CellPlane geometry = hog::make_cell_plane_geometry(
+      scene.width(), scene.height(), hog.cell_size, hog.bins,
+      std::gcd(stride, hog.cell_size), config.scale_index);
+  validate_plane_scan("detect_windows_parallel", extractor, geometry, map,
+                      config, positive_class);
+  pipeline.prepare_concurrent();
+  if (config.plane_mode == PlaneMode::kLazy) {
+    scan_lazy_plane(pipeline, extractor, scene, std::move(geometry), config,
+                    positive_class, map);
+  } else {
+    const hog::CellPlane plane = fill_cell_plane(
+        pipeline, extractor, scene, std::move(geometry), config);
+    scan_prebuilt_plane({pipeline, extractor, plane, config, positive_class},
+                        map);
+  }
   return map;
 }
 

@@ -3,25 +3,34 @@
 // Parallel batched detection engine.
 //
 // The sliding-window scan is embarrassingly parallel — the paper's whole
-// pitch for HDC arithmetic (§4) is that it is "fully parallel" bitwise work —
-// but the seed implementation classified every window serially because the
-// stochastic-arithmetic context is single-threaded. This engine partitions
-// the window grid into contiguous chunks dispatched on util::ThreadPool; each
-// chunk runs on a scratch StochasticContext forked from the pipeline's (same
-// basis V₁, same warmed mask pool, independent RNG chain).
+// pitch for HDC arithmetic (§4) is that it is "fully parallel" bitwise work.
+// Every scan here is one kernel run by one runner:
 //
-// Determinism: before each window the scratch RNG is reseeded from
-// mix64(pipeline seed, window index), so every window's encoding is a pure
-// function of (pipeline state, window pixels, window index) — independent of
-// thread count, chunk boundaries, and scheduling order. A 1-thread run and an
-// 8-thread run produce bit-identical DetectionMaps. (Note this per-window
-// seeding is a different — deterministic — random stream than the legacy
-// serial SlidingWindowDetector::detect, whose RNG chain threads sequentially
-// through the whole scan; the legacy path is kept for compatibility.)
+//   * Kernels. A per-window scan crops each window and runs the full
+//     stochastic chain on it. Every cell-plane scan — on a prebuilt plane
+//     (detect_windows_on_plane, kEager) or a lazy one (kLazy) — runs one
+//     window kernel that reads cells through a cell source: a prebuilt
+//     plane's ensure(gx, gy) does nothing, a LazyCellPlane's encodes the
+//     cell once. The same kernel scores exactly, or through a cascade with
+//     or without its parity prescreen.
+//   * Runner. util::parallel_for_sharded splits the grid into contiguous
+//     chunks on util::ThreadPool (threads == 1 runs the same code as one
+//     chunk on the caller). Each chunk gets a scratch StochasticContext
+//     forked from the pipeline's (same basis V₁, same warmed mask pool) and
+//     one cache-line-padded shard of {OpCounter, CascadeStats,
+//     EncodeCacheStats}; the shards merge once, after the scan, into the
+//     config's sinks.
 //
-// Op accounting is exact under parallelism: each chunk accumulates into its
-// own ShardedOpCounter shard and the shards merge into the caller's counter
-// after the scan, so totals are equal at every thread count.
+// Determinism: every random draw restarts from a pure key — mix64(pipeline
+// seed, window index) for a per-window encode, cell_plane_seed(seed, scale,
+// gx, gy) for a cell — so a DetectionMap is a pure function of (pipeline
+// state, scene, config), independent of thread count, chunk boundaries and
+// scheduling: a 1-thread and an 8-thread run are bit-identical, and so are
+// eager and lazy planes. (Per-window seeding is a different — deterministic —
+// stream than the legacy serial SlidingWindowDetector::detect, whose RNG
+// chain threads through the whole scan; that path is kept for
+// compatibility.) Accounting is exact too: shard totals merge with integer
+// adds, so every counter is equal at every thread count.
 
 #include <cstddef>
 #include <cstdint>

@@ -141,18 +141,12 @@ void DetectionServer::execute_job(Job job, Shard& shard) {
 
   // Route the scan's cache/cascade accounting through job-local sinks so the
   // server can aggregate plane behavior fleet-wide (ServerStats), while the
-  // caller's own sinks (telemetry or the deprecated aliases — whichever
-  // engine_config would have honored) still receive exactly the totals a
-  // direct Detector::detect call would have merged into them.
+  // caller's own telemetry sinks still receive exactly the totals a direct
+  // Detector::detect call would have merged into them.
   pipeline::EncodeCacheStats job_cache;
   pipeline::CascadeStats job_cascade;
-  api::Telemetry telemetry;
-  if (request.options.telemetry) {
-    telemetry = *request.options.telemetry;
-  } else {
-    telemetry.feature_ops = request.options.feature_counter;
-    telemetry.encode_cache = request.options.encode_cache_stats;
-  }
+  api::Telemetry telemetry =
+      request.options.telemetry.value_or(api::Telemetry{});
   pipeline::EncodeCacheStats* caller_cache = telemetry.encode_cache;
   pipeline::CascadeStats* caller_cascade = telemetry.cascade;
   telemetry.encode_cache = &job_cache;

@@ -10,11 +10,13 @@
 // util::Mutex capability; -Wthread-safety proves every access happens under
 // the lock and the condition-variable waits hold it.
 
+#include <atomic>
 #include <cstddef>
 #include <functional>
 #include <future>
 #include <queue>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "util/mutex.hpp"
@@ -71,6 +73,48 @@ void parallel_for(ThreadPool& pool, std::size_t begin, std::size_t end,
 void parallel_for_chunked(ThreadPool& pool, std::size_t begin, std::size_t end,
                           std::size_t min_chunk,
                           const std::function<void(std::size_t, std::size_t)>& body);
+
+// Sharded chunk runner: calls body(shard, lo, hi) once per chunk of
+// parallel_for_chunked, each chunk accumulating into its own
+// cache-line-padded Shard, and returns the merge of every shard. A null pool
+// (or one worker) runs a non-empty [begin, end) as one chunk of the same body
+// on the caller's thread. Shard is default-constructible and either
+// arithmetic (merged with +=) or has merge(const Shard&). Which shard a chunk
+// claims depends on scheduling, but with a commutative, associative merge
+// (integer adds) the result does not: the totals are exact and identical at
+// every thread count. Shards need no lock: a claimed shard is exclusively its
+// chunk's until the dispatch joins, and the merge runs after the join.
+template <typename Shard, typename Body>
+Shard parallel_for_sharded(ThreadPool* pool, std::size_t begin, std::size_t end,
+                           std::size_t min_chunk, const Body& body) {
+  Shard total{};
+  if (pool == nullptr || pool->size() <= 1) {
+    if (begin < end) body(total, begin, end);
+    return total;
+  }
+  struct alignas(64) Padded {
+    Shard shard{};
+  };
+  // parallel_for_chunked makes at most 4 chunks per worker, so every chunk
+  // claims a shard of its own.
+  std::vector<Padded> shards(pool->size() * 4 + 1);
+  std::atomic<std::size_t> next_shard{0};
+  parallel_for_chunked(
+      *pool, begin, end, min_chunk,
+      [&body, &shards, &next_shard](std::size_t lo, std::size_t hi) {
+        // hdlint: allow(sched-dependent-value) — shards merge with a
+        // commutative merge, so the total is exact at every thread count.
+        body(shards[next_shard.fetch_add(1) % shards.size()].shard, lo, hi);
+      });
+  for (const Padded& p : shards) {
+    if constexpr (std::is_arithmetic_v<Shard>) {
+      total += p.shard;
+    } else {
+      total.merge(p.shard);
+    }
+  }
+  return total;
+}
 
 // Shared process-wide pool (constructed on first use).
 ThreadPool& global_pool();

@@ -1,9 +1,6 @@
 #include "core/op_counter.hpp"
 
-#include <cstdint>
 #include <stdexcept>
-#include <thread>
-#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -25,106 +22,6 @@ TEST(OpCounter, AddGetResetMerge) {
   EXPECT_EQ(c.get(OpKind::kPopcount), 4u);
   c.reset();
   EXPECT_EQ(c.total(), 0u);
-}
-
-TEST(ShardedOpCounter, ZeroShardsClampsToOne) {
-  ShardedOpCounter sharded(0);
-  EXPECT_EQ(sharded.num_shards(), 1u);
-}
-
-TEST(ShardedOpCounter, ShardsDoNotShareCacheLines) {
-  ShardedOpCounter sharded(4);
-  const auto* a = &sharded.shard(0);
-  const auto* b = &sharded.shard(1);
-  const auto gap = reinterpret_cast<std::uintptr_t>(b) -
-                   reinterpret_cast<std::uintptr_t>(a);
-  EXPECT_GE(gap, 64u);
-}
-
-TEST(ShardedOpCounter, ConcurrentShardWritesCombineExactly) {
-  constexpr std::size_t kThreads = 8;
-  constexpr std::uint64_t kPerThread = 10000;
-  ShardedOpCounter sharded(kThreads);
-  std::vector<std::thread> workers;
-  for (std::size_t t = 0; t < kThreads; ++t) {
-    workers.emplace_back([&sharded, t] {
-      OpCounter& mine = sharded.shard(t);
-      for (std::uint64_t i = 0; i < kPerThread; ++i) {
-        mine.add(OpKind::kWordLogic, 1);
-        mine.add(OpKind::kRngWord, 2);
-      }
-    });
-  }
-  for (auto& w : workers) w.join();
-  const OpCounter total = sharded.combined();
-  EXPECT_EQ(total.get(OpKind::kWordLogic), kThreads * kPerThread);
-  EXPECT_EQ(total.get(OpKind::kRngWord), 2 * kThreads * kPerThread);
-  sharded.reset();
-  EXPECT_EQ(sharded.combined().total(), 0u);
-}
-
-TEST(ShardedOpCounter, ConcurrentEncodeTotalsAreThreadCountInvariant) {
-  // The engine's accounting model end-to-end: forks of one warmed context
-  // encode concurrently, each counting into its own shard; merged totals must
-  // equal a serial run of the same per-fork seeds.
-  StochasticConfig cfg;
-  cfg.dim = 1024;
-  StochasticContext parent(cfg);
-  parent.warm_pool();
-  constexpr std::size_t kForks = 6;
-
-  auto run = [&parent](std::size_t concurrency) {
-    ShardedOpCounter sharded(kForks);
-    auto work = [&parent, &sharded](std::size_t f) {
-      StochasticContext ctx = parent.fork(1000 + f);
-      ctx.set_counter(&sharded.shard(f));
-      Hypervector v = ctx.construct(0.25);
-      for (int i = 0; i < 8; ++i) v = ctx.square(v);
-      (void)ctx.decode(v);
-    };
-    if (concurrency <= 1) {
-      for (std::size_t f = 0; f < kForks; ++f) work(f);
-    } else {
-      std::vector<std::thread> workers;
-      for (std::size_t f = 0; f < kForks; ++f) workers.emplace_back(work, f);
-      for (auto& w : workers) w.join();
-    }
-    return sharded.combined();
-  };
-
-  const OpCounter serial = run(1);
-  const OpCounter parallel = run(kForks);
-  EXPECT_GT(serial.total(), 0u);
-  for (std::size_t k = 0; k < kOpKindCount; ++k) {
-    EXPECT_EQ(serial.counts[k], parallel.counts[k])
-        << op_kind_name(static_cast<OpKind>(k));
-  }
-}
-
-TEST(ShardedTally, ConcurrentShardIncrementsCombineExactly) {
-  constexpr std::size_t kThreads = 8;
-  constexpr std::uint64_t kPerThread = 25000;
-  ShardedTally tally(kThreads);
-  EXPECT_EQ(tally.num_shards(), kThreads);
-  std::vector<std::thread> workers;
-  for (std::size_t t = 0; t < kThreads; ++t) {
-    workers.emplace_back([&tally, t] {
-      std::uint64_t& mine = tally.shard(t);
-      for (std::uint64_t i = 0; i < kPerThread; ++i) ++mine;
-    });
-  }
-  for (auto& w : workers) w.join();
-  EXPECT_EQ(tally.total(), kThreads * kPerThread);
-  tally.reset();
-  EXPECT_EQ(tally.total(), 0u);
-}
-
-TEST(ShardedTally, ZeroShardsClampsToOneAndPadsCacheLines) {
-  EXPECT_EQ(ShardedTally(0).num_shards(), 1u);
-  ShardedTally tally(4);
-  const auto gap = reinterpret_cast<std::uintptr_t>(&tally.shard(1)) -
-                   reinterpret_cast<std::uintptr_t>(&tally.shard(0));
-  EXPECT_GE(gap, 64u);
 }
 
 TEST(StochasticFork, RequiresWarmedPool) {

@@ -2,10 +2,12 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "api/detector.hpp"
+#include "core/rng.hpp"
 #include "dataset/background_generator.hpp"
 #include "dataset/face_generator.hpp"
 #include "image/transform.hpp"
@@ -102,6 +104,30 @@ TEST(FaultSession, RestoreIsIdempotentAndClearsOverride) {
   EXPECT_FALSE(session.active());
   EXPECT_FALSE(pipe.classifier().has_binary_override());
   EXPECT_NO_THROW(session.restore());  // idempotent no-op
+}
+
+TEST(FaultSession, RestorePutsBackAPriorOverride) {
+  // A detector deployed with a binary-prototype override (as the benchmark's
+  // is) must keep it bit for bit across a prototype-faulting session, not
+  // fall back to cosine scoring.
+  auto& f = fixture();
+  auto& pipe = *f.detector.pipeline();
+  core::Rng rng(0x0BE5);
+  std::vector<core::Hypervector> deployed;
+  for (std::size_t c = 0; c < pipe.classifier().config().classes; ++c) {
+    deployed.push_back(core::Hypervector::random(pipe.config().dim, rng));
+  }
+  pipe.mutable_classifier().set_binary_override(deployed);
+  noise::FaultPlan plan;
+  plan.model = {noise::FaultKind::kTransientFlip, 0.05};
+  {
+    FaultSession session(pipe, plan);
+    EXPECT_NE(pipe.classifier().binary_override(), deployed);
+    session.restore();
+  }
+  EXPECT_TRUE(pipe.classifier().has_binary_override());
+  EXPECT_EQ(pipe.classifier().binary_override(), deployed);
+  pipe.mutable_classifier().clear_binary_override();  // leave the fixture clean
 }
 
 TEST(FaultSession, DisturbanceTracksExpectedFraction) {

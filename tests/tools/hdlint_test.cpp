@@ -207,6 +207,11 @@ TEST(Hdlint, RefCaptureThreadLambdaFires) {
                     "    pool, 0, n, 1,\n"
                     "    [&, seed](std::size_t lo, std::size_t hi) {});\n",
                     "ref-capture-thread-lambda"));
+  EXPECT_TRUE(fires("util::parallel_for_sharded<core::OpCounter>(\n"
+                    "    &pool, 0, n, 1,\n"
+                    "    [&](core::OpCounter& shard, std::size_t lo, "
+                    "std::size_t hi) {});\n",
+                    "ref-capture-thread-lambda"));
   EXPECT_TRUE(fires("std::thread worker([&] { run(); });\n",
                     "ref-capture-thread-lambda"));
   EXPECT_TRUE(fires("auto f = std::async([&] { return g(); });\n",

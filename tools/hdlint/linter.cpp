@@ -704,11 +704,20 @@ Report lint_source_report(std::string_view path, std::string_view text,
     // Lambdas handed to thread entry points: scan the argument span (which
     // may run over several lines) for a default-by-reference capture.
     static const std::vector<std::string> kThreadEntry = {
-        "submit", "parallel_for", "parallel_for_chunked", "async"};
+        "submit", "parallel_for", "parallel_for_chunked",
+        "parallel_for_sharded", "async"};
     for (const auto& name : kThreadEntry) {
       for (const std::size_t p : ident_occurrences(line, name)) {
-        if (!is_call(line, p, name.size())) continue;
-        const std::size_t open = skip_spaces(line, p + name.size());
+        std::size_t open = skip_spaces(line, p + name.size());
+        // Explicit template arguments: parallel_for_sharded<Shard>(…).
+        if (open < line.size() && line[open] == '<') {
+          for (int depth = 0; open < line.size(); ++open) {
+            if (line[open] == '<') ++depth;
+            if (line[open] == '>' && --depth == 0) break;
+          }
+          open = skip_spaces(line, open + 1);
+        }
+        if (open >= line.size() || line[open] != '(') continue;
         if (span_has_ref_capture(src.code, li, open, '(', ')')) {
           report(li, "ref-capture-thread-lambda");
         }
