@@ -1,6 +1,7 @@
 #include "noise/fault_model.hpp"
 
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -25,15 +26,24 @@ double disturbed_fraction(const core::Hypervector& clean,
 
 // ---- statistical signatures -------------------------------------------------
 
+// gtest names each case by dumping its bytes. `zero` fills what would be the
+// padding between `kind` and `rate`: padding bytes are indeterminate, and
+// they made the case names change from one listing of the same binary to the
+// next.
 struct KindCase {
+  KindCase(FaultKind k, double r) : kind(k), rate(r) {}
   FaultKind kind;
+  std::uint32_t zero = 0;
   double rate;
 };
+static_assert(sizeof(KindCase) ==
+              sizeof(FaultKind) + sizeof(std::uint32_t) + sizeof(double));
 
 class FaultMaskSignature : public ::testing::TestWithParam<KindCase> {};
 
 TEST_P(FaultMaskSignature, DisturbedFractionWithinBinomialBounds) {
-  const auto [kind, rate] = GetParam();
+  const FaultKind kind = GetParam().kind;
+  const double rate = GetParam().rate;
   const FaultModel model{kind, rate};
   const auto v = random_vector(0xBEEF);
   core::Rng rng(0xF001);
@@ -53,7 +63,8 @@ TEST_P(FaultMaskSignature, DisturbedFractionWithinBinomialBounds) {
 }
 
 TEST_P(FaultMaskSignature, SimilarityMatchesExpectation) {
-  const auto [kind, rate] = GetParam();
+  const FaultKind kind = GetParam().kind;
+  const double rate = GetParam().rate;
   const FaultModel model{kind, rate};
   const auto v = random_vector(0xCAFE);
   core::Rng rng(0xF002);
