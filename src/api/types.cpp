@@ -26,6 +26,14 @@ std::optional<Error> validate(const DetectOptions& options) {
   if (!std::isfinite(options.score_threshold)) {
     return Error::invalid_options("DetectOptions: score_threshold not finite");
   }
+  if (options.fault_plan) {
+    const double rate = options.fault_plan->model.rate;
+    if (!(rate >= 0.0 && rate <= 1.0)) {  // NaN fails too
+      return Error::invalid_options(
+          "DetectOptions: fault_plan rate outside [0, 1]: " +
+          std::to_string(rate));
+    }
+  }
   if (options.plane_mode == pipeline::PlaneMode::kLazy &&
       options.encode_mode != pipeline::EncodeMode::kCellPlane) {
     return Error::invalid_options(

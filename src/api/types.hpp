@@ -224,8 +224,10 @@ struct DetectOptions {
   // never-faulted one once the call returns. Query-plane faults are applied
   // in flight per window. Note: when the plan targets prototypes, inference
   // switches to the binary Hamming path even at rate 0 (clean-baseline cells
-  // of a sweep stay comparable to faulted ones). The serving layer runs
-  // fault-plan requests under an exclusive lock (see serve/server.hpp).
+  // of a sweep stay comparable to faulted ones). validate() rejects a rate
+  // outside [0, 1] (NaN included). The serving layer runs plans that target
+  // stored memory under an exclusive lock and query-only plans beside clean
+  // scans (see serve/server.hpp).
   std::optional<noise::FaultPlan> fault_plan;
   // Early-reject similarity cascade (pipeline/cascade.hpp). kExact (the
   // default-constructed mode) bypasses the stages entirely — the scan runs
@@ -252,15 +254,13 @@ struct DetectOptions {
 };
 
 // Fail-fast options validation: empty scales, scale outside (0,1], stride 0,
-// non-finite nms_iou/score_threshold — plus the cross-field contracts the
-// engine would otherwise only trip deep inside a scan: a fault_plan on the
-// cell-plane encode path without an encode-cache stats sink (fault campaigns
-// on a shared plane cache must stay auditable), and a calibrated cascade
-// without kCellPlane, with a fault_plan, with a positive_class mismatched
-// against its table, or with a structurally malformed table. Returns nullopt
-// when the options are usable. Shared by the Request path (typed Error), the
-// legacy wrappers (InvalidOptionsError) and serving admission (rejected
-// before queueing).
+// non-finite nms_iou/score_threshold, a fault_plan rate outside [0, 1] (NaN
+// included) — plus the cross-field contracts the engine would otherwise only
+// trip deep inside a scan: a calibrated cascade without kCellPlane, with a
+// fault_plan, with a positive_class mismatched against its table, or with a
+// structurally malformed table. Returns nullopt when the options are usable.
+// Shared by the Request path (typed Error), the legacy wrappers
+// (InvalidOptionsError) and serving admission (rejected before queueing).
 std::optional<Error> validate(const DetectOptions& options);
 
 // ---------------------------------------------------------------------------

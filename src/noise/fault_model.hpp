@@ -126,6 +126,12 @@ struct FaultPlan {
   // window; persistent kinds model one faulty query buffer — the same
   // pattern for every window.
   bool queries = true;
+
+  // True when the plan patches stored memory shared by every scan (item
+  // memories, mask pool, prototype override). A plan without a stored
+  // target writes only each window's own query, so it can run beside
+  // concurrent clean scans (serve::DetectionServer relies on this).
+  bool targets_stored_memory() const { return item_memory || prototypes; }
 };
 
 // Applies the plan's query-target fault to one in-flight query hypervector;

@@ -38,7 +38,7 @@ void FaultSession::inject(noise::FaultTarget target, std::uint64_t index,
 FaultSession::FaultSession(HdFacePipeline& pipeline,
                            const noise::FaultPlan& plan)
     : pipeline_(pipeline), plan_(plan) {
-  if (plan.model.rate < 0.0 || plan.model.rate > 1.0) {
+  if (!(plan.model.rate >= 0.0 && plan.model.rate <= 1.0)) {  // NaN fails
     throw std::invalid_argument("FaultSession: rate must be in [0, 1]");
   }
   // Warm the shared mask pool *before* patching it: a lazily-filled pool
@@ -66,7 +66,15 @@ FaultSession::FaultSession(HdFacePipeline& pipeline,
   }
 
   if (plan_.prototypes) {
-    auto protos = pipeline_.mutable_classifier().binary_prototypes();
+    // Fault the prototypes the detector scores against: its deployed
+    // override if it has one, else the binarized accumulators. Keep the
+    // override, if any, so restore() puts it back instead of dropping to
+    // cosine scoring.
+    const learn::HdcClassifier& classifier = pipeline_.classifier();
+    prior_override_ = classifier.binary_override();
+    auto protos = classifier.has_binary_override()
+                      ? prior_override_
+                      : classifier.binary_prototypes();
     for (std::size_t c = 0; c < protos.size(); ++c) {
       core::Rng rng(
           noise::fault_seed(plan_.seed, noise::FaultTarget::kPrototype, c));
@@ -77,9 +85,6 @@ FaultSession::FaultSession(HdFacePipeline& pipeline,
       disturbed_bits_ += core::hamming(clean, protos[c]);
       faultable_bits_ += protos[c].dim();
     }
-    // Keep the override the detector was deployed with, if any, so
-    // restore() puts it back instead of dropping to cosine scoring.
-    prior_override_ = pipeline_.classifier().binary_override();
     pipeline_.mutable_classifier().set_binary_override(std::move(protos));
     override_set_ = true;
   }

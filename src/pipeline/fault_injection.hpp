@@ -33,6 +33,10 @@
 // Query-plane faults (noise::FaultTarget::kQuery) are *not* injected here —
 // they are transient per-window events applied inside the scan loop (see
 // ParallelDetectConfig::fault_plan); a session only owns persistent storage.
+// A plan with no stored target (!plan.targets_stored_memory()) therefore
+// writes nothing shared: the session patches no vector and sets no override,
+// and serve::DetectionServer relies on this to run such plans under the
+// shared model lock beside clean scans.
 
 #include <cstdint>
 #include <vector>
@@ -49,9 +53,11 @@ class FaultSession {
   // pipeline.prepare_concurrent() first so the mask pool is warmed before it
   // is patched (patching a lazily-filled pool would race the fill). The
   // pipeline must outlive the session. When plan.prototypes is set, the
-  // classifier switches to binary Hamming inference against the (possibly
-  // faulted) prototype memory — at rate 0 this still changes the inference
-  // mode, which keeps clean-baseline cells comparable to faulted ones.
+  // classifier switches to binary Hamming inference against a faulted copy
+  // of the prototypes it is deployed with (its binary override if it has
+  // one, else the binarized accumulators) — at rate 0 this still changes
+  // the inference mode, which keeps clean-baseline cells comparable to
+  // faulted ones.
   FaultSession(HdFacePipeline& pipeline, const noise::FaultPlan& plan);
 
   // Restores on destruction if the caller didn't; destructors swallow the

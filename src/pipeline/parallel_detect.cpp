@@ -392,6 +392,12 @@ DetectionMap detect_windows_parallel(HdFacePipeline& pipeline,
         "EncodeMode::kCellPlane (the per-window encode has no plane to "
         "materialize)");
   }
+  if (config.cascade != nullptr &&
+      config.encode_mode == EncodeMode::kPerWindow) {
+    throw std::invalid_argument(
+        "detect_windows_parallel: a cascade requires EncodeMode::kCellPlane "
+        "(the per-window encode has no prefix to stage)");
+  }
   DetectionMap map = make_map_geometry(scene, window, stride);
 
   if (config.encode_mode == EncodeMode::kPerWindow) {

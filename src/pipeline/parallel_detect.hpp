@@ -144,7 +144,8 @@ DetectionMap detect_windows_on_plane(HdFacePipeline& pipeline,
 // Scan `scene` with `window`-sized windows at `stride`, classifying each with
 // the trained pipeline. Calls pipeline.prepare_concurrent() internally (the
 // one mutation, before any dispatch). Throws std::invalid_argument on zero
-// geometry or a scene smaller than the window.
+// geometry, a scene smaller than the window, or a lazy plane or cascade
+// without kCellPlane.
 DetectionMap detect_windows_parallel(HdFacePipeline& pipeline,
                                      const image::Image& scene,
                                      std::size_t window, std::size_t stride,

@@ -154,12 +154,15 @@ void DetectionServer::execute_job(Job job, Shard& shard) {
   request.options.telemetry = telemetry;
 
   api::Outcome<api::Response> outcome = [&] {
-    if (request.options.fault_plan.has_value()) {
+    if (request.options.fault_plan.has_value() &&
+        request.options.fault_plan->targets_stored_memory()) {
       // FaultSession patches shared pipeline storage (item memories, mask
-      // pool, prototypes) for the scan's duration — exclusive.
+      // pool, prototype override) for the scan's duration — exclusive.
       const util::WriterMutexLock model_lock(model_mutex_);
       return detector_.detect(request);
     }
+    // Clean scans and query-only plans write no shared state: query faults
+    // land on each window's own feature.
     const util::ReaderMutexLock model_lock(model_mutex_);
     return detector_.detect(request);
   }();

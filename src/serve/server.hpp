@@ -37,10 +37,13 @@
 // interleaving (the serving bench verifies this per request). Latency
 // numbers are of course timing-dependent; only the *results* are not.
 //
-// Fault-plan requests mutate shared pipeline storage for the duration of
-// their scan (pipeline::FaultSession, copy-on-inject + restore-verified);
-// the server runs them under an exclusive model lock while clean requests
-// share it, so a faulted query can never corrupt a concurrent clean scan.
+// A fault plan that targets stored memory (item memories, mask pool,
+// prototypes) mutates shared pipeline storage for the duration of its scan
+// (pipeline::FaultSession, copy-on-inject + restore-verified); the server
+// runs it under an exclusive model lock, so it can never corrupt a
+// concurrent scan. Clean requests and query-only plans
+// (!FaultPlan::targets_stored_memory(): faults land on each window's own
+// query) write no shared state and share the lock.
 
 #include <chrono>
 #include <cstddef>
@@ -225,12 +228,13 @@ class DetectionServer {
   std::size_t in_flight_ HD_GUARDED_BY(admission_mutex_) = 0;
   bool shutdown_ HD_GUARDED_BY(admission_mutex_) = false;
 
-  // Clean scans share the model; fault-plan scans (which patch shared
-  // pipeline storage via FaultSession) take it exclusively. The capability
-  // guards the *pipeline storage behind detector_* (item memories, mask
-  // pool, prototypes) — state the analysis cannot name directly, so the
-  // acquire sites in execute_job() carry the contract instead of a
-  // HD_GUARDED_BY on a member.
+  // Clean scans and query-only fault plans share the model; plans that
+  // target stored memory (which patch shared pipeline storage via
+  // FaultSession) take it exclusively. The capability guards the *pipeline
+  // storage behind detector_* (item memories, mask pool, prototype
+  // override) — state the analysis cannot name directly, so the acquire
+  // sites in execute_job() carry the contract instead of a HD_GUARDED_BY on
+  // a member.
   util::SharedMutex model_mutex_;
 };
 

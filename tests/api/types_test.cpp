@@ -1,6 +1,7 @@
 #include "api/types.hpp"
 
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -57,6 +58,27 @@ TEST(Validate, RejectsNonFiniteThresholds) {
   DetectOptions bad_score;
   bad_score.score_threshold = std::nan("");
   EXPECT_TRUE(validate(bad_score).has_value());
+}
+
+TEST(Validate, RejectsFaultRateOutsideUnitInterval) {
+  // Checked at admission: a NaN rate would otherwise pass the engine's range
+  // test and inject nothing while the call reports success.
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double bad : {std::nan(""), inf, -inf, -0.1, 1.5}) {
+    DetectOptions opts;
+    opts.fault_plan = noise::FaultPlan{};
+    opts.fault_plan->model.rate = bad;
+    const auto err = validate(opts);
+    ASSERT_TRUE(err.has_value()) << "rate " << bad;
+    EXPECT_EQ(err->code, ErrorCode::kInvalidOptions) << "rate " << bad;
+    EXPECT_NE(err->message.find("rate"), std::string::npos) << "rate " << bad;
+  }
+  for (const double good : {0.0, 1.0}) {
+    DetectOptions opts;
+    opts.fault_plan = noise::FaultPlan{};
+    opts.fault_plan->model.rate = good;
+    EXPECT_EQ(validate(opts), std::nullopt) << "rate " << good;
+  }
 }
 
 TEST(Validate, BoundaryScaleOneIsValid) {

@@ -165,6 +165,36 @@ TEST(FaultMask, Validates) {
                std::invalid_argument);
   EXPECT_THROW(sample_fault_mask({FaultKind::kTransientFlip, 1.5}, 64, rng),
                std::invalid_argument);
+  // A NaN rate would compare false against every draw and inject nothing.
+  EXPECT_THROW(
+      sample_fault_mask({FaultKind::kTransientFlip, std::nan("")}, 64, rng),
+      std::invalid_argument);
+}
+
+// ---- plan targets -----------------------------------------------------------
+
+TEST(FaultPlan, TargetsStoredMemoryIffAStoredFlagIsSet) {
+  struct Case {
+    bool item_memory;
+    bool prototypes;
+    bool queries;
+    bool expected;
+  };
+  const Case cases[] = {
+      {false, false, false, false}, {false, false, true, false},
+      {true, false, false, true},   {true, false, true, true},
+      {false, true, false, true},   {false, true, true, true},
+      {true, true, false, true},    {true, true, true, true},
+  };
+  for (const Case& c : cases) {
+    FaultPlan plan;
+    plan.item_memory = c.item_memory;
+    plan.prototypes = c.prototypes;
+    plan.queries = c.queries;
+    EXPECT_EQ(plan.targets_stored_memory(), c.expected)
+        << "item_memory " << c.item_memory << " prototypes " << c.prototypes
+        << " queries " << c.queries;
+  }
 }
 
 // ---- seed schedule ----------------------------------------------------------

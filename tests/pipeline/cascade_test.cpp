@@ -365,6 +365,25 @@ TEST(Cascade, ScanOnPlaneRejectsIncompatiblePlanes) {
       std::invalid_argument);
 }
 
+TEST(Cascade, PerWindowEngineScanRejectsCascade) {
+  // The per-window encode has no prefix to stage: an engine caller that sets
+  // a cascade on it gets an error, not a silent exact scan with untouched
+  // cascade stats.
+  auto& f = fixture();
+  const Cascade cascade(f.pipeline.classifier(), f.table);
+  ParallelDetectConfig cfg;
+  cfg.threads = 1;
+  cfg.encode_mode = EncodeMode::kPerWindow;
+  cfg.cascade = &cascade;
+  CascadeStats stats;
+  cfg.cascade_stats = &stats;
+  EXPECT_THROW((void)detect_windows_parallel(f.pipeline, f.scenes[0],
+                                             CascadeFixture::kWindow,
+                                             CascadeFixture::kStride, 1, cfg),
+               std::invalid_argument);
+  EXPECT_EQ(stats.windows, 0u);
+}
+
 TEST(Cascade, RejectEverythingTableShortCircuitsAllWindows) {
   auto& f = fixture();
   CascadeTable reject_all = f.table;

@@ -106,17 +106,24 @@ TEST(FaultSession, RestoreIsIdempotentAndClearsOverride) {
   EXPECT_NO_THROW(session.restore());  // idempotent no-op
 }
 
+// A binary-prototype override unrelated to the trained accumulators, so a
+// session that faults the wrong prototypes cannot pass by coincidence.
+std::vector<core::Hypervector> random_override(const HdFacePipeline& pipe) {
+  core::Rng rng(0x0BE5);
+  std::vector<core::Hypervector> deployed;
+  for (std::size_t c = 0; c < pipe.classifier().config().classes; ++c) {
+    deployed.push_back(core::Hypervector::random(pipe.config().dim, rng));
+  }
+  return deployed;
+}
+
 TEST(FaultSession, RestorePutsBackAPriorOverride) {
   // A detector deployed with a binary-prototype override (as the benchmark's
   // is) must keep it bit for bit across a prototype-faulting session, not
   // fall back to cosine scoring.
   auto& f = fixture();
   auto& pipe = *f.detector.pipeline();
-  core::Rng rng(0x0BE5);
-  std::vector<core::Hypervector> deployed;
-  for (std::size_t c = 0; c < pipe.classifier().config().classes; ++c) {
-    deployed.push_back(core::Hypervector::random(pipe.config().dim, rng));
-  }
+  const std::vector<core::Hypervector> deployed = random_override(pipe);
   pipe.mutable_classifier().set_binary_override(deployed);
   noise::FaultPlan plan;
   plan.model = {noise::FaultKind::kTransientFlip, 0.05};
@@ -126,6 +133,84 @@ TEST(FaultSession, RestorePutsBackAPriorOverride) {
     session.restore();
   }
   EXPECT_TRUE(pipe.classifier().has_binary_override());
+  EXPECT_EQ(pipe.classifier().binary_override(), deployed);
+  pipe.mutable_classifier().clear_binary_override();  // leave the fixture clean
+}
+
+TEST(FaultSession, PrototypePlanFaultsTheDeployedOverride) {
+  // A detector deployed with an override scores against that override, so a
+  // prototype plan must fault it, not the binarized accumulators: each class
+  // carries exactly its own schedule mask applied to the deployed bits.
+  auto& f = fixture();
+  auto& pipe = *f.detector.pipeline();
+  const std::vector<core::Hypervector> deployed = random_override(pipe);
+  pipe.mutable_classifier().set_binary_override(deployed);
+  noise::FaultPlan plan;
+  plan.model = {noise::FaultKind::kTransientFlip, 0.05};
+  plan.item_memory = false;
+  {
+    FaultSession session(pipe, plan);
+    const auto& faulted = pipe.classifier().binary_override();
+    ASSERT_EQ(faulted.size(), deployed.size());
+    for (std::size_t c = 0; c < deployed.size(); ++c) {
+      core::Rng rng(
+          noise::fault_seed(plan.seed, noise::FaultTarget::kPrototype, c));
+      const noise::FaultMask mask =
+          noise::sample_fault_mask(plan.model, deployed[c].dim(), rng);
+      EXPECT_EQ(faulted[c], mask.applied(deployed[c])) << "class " << c;
+      EXPECT_NE(faulted[c], deployed[c]) << "class " << c;
+    }
+    session.restore();
+  }
+  EXPECT_EQ(pipe.classifier().binary_override(), deployed);
+  pipe.mutable_classifier().clear_binary_override();  // leave the fixture clean
+}
+
+TEST(FaultSession, QueryOnlySessionWritesNothing) {
+  // The serving layer runs a plan with no stored target under the shared
+  // model lock, beside clean scans, on the promise that its session writes
+  // no shared word: no patch, no faultable bit, and item memories, mask pool
+  // and a deployed override stay bit-identical while the session is open.
+  auto& f = fixture();
+  auto& pipe = *f.detector.pipeline();
+  const std::vector<core::Hypervector> deployed = random_override(pipe);
+  pipe.mutable_classifier().set_binary_override(deployed);
+  pipe.prepare_concurrent();  // the session warms the pool; snapshot it warm
+  ASSERT_NE(pipe.hd_extractor(), nullptr);
+  const auto stored_words = [&pipe] {
+    std::vector<core::Hypervector> words;
+    auto& ext = *pipe.hd_extractor();
+    for (std::size_t i = 0; i < ext.item_memory().levels(); ++i) {
+      words.push_back(ext.item_memory().level(i));
+    }
+    auto& hm = ext.mutable_histogram_memory();
+    for (std::size_t i = 0; i < hm.levels(); ++i) words.push_back(hm.level(i));
+    auto& ctx = pipe.context();
+    for (std::size_t b = 0; b < ctx.pool_buckets(); ++b) {
+      for (const auto& entry : ctx.mutable_pool_bucket(b)) {
+        words.push_back(entry);
+      }
+    }
+    return words;
+  };
+  const std::vector<core::Hypervector> before = stored_words();
+  ASSERT_FALSE(before.empty());
+
+  noise::FaultPlan plan;
+  plan.model = {noise::FaultKind::kTransientFlip, 0.1};
+  plan.item_memory = false;
+  plan.prototypes = false;
+  ASSERT_FALSE(plan.targets_stored_memory());
+  {
+    FaultSession session(pipe, plan);
+    EXPECT_EQ(session.patched_vectors(), 0u);
+    EXPECT_EQ(session.faultable_bits(), 0u);
+    EXPECT_EQ(session.disturbed_bits(), 0u);
+    EXPECT_TRUE(stored_words() == before);
+    EXPECT_EQ(pipe.classifier().binary_override(), deployed);
+    session.restore();
+  }
+  EXPECT_TRUE(stored_words() == before);
   EXPECT_EQ(pipe.classifier().binary_override(), deployed);
   pipe.mutable_classifier().clear_binary_override();  // leave the fixture clean
 }
@@ -206,6 +291,8 @@ TEST(FaultSession, ValidatesPlan) {
   plan.model = {noise::FaultKind::kTransientFlip, 1.5};
   EXPECT_THROW(FaultSession(pipe, plan), std::invalid_argument);
   plan.model.rate = -0.1;
+  EXPECT_THROW(FaultSession(pipe, plan), std::invalid_argument);
+  plan.model.rate = std::nan("");
   EXPECT_THROW(FaultSession(pipe, plan), std::invalid_argument);
 }
 

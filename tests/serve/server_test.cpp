@@ -224,19 +224,22 @@ TEST(DetectionServer, HistogramCountsMatchResolvedRequests) {
 
 // Served results must be bit-identical to direct Detector::detect calls —
 // at any worker count, under concurrent submission, for clean and faulted
-// requests alike (faulted scans mutate shared pipeline state under the
-// model lock; a clean scan racing one must stay unaffected).
+// requests alike. Both lock modes race clean scans: a stored-memory plan
+// mutates shared pipeline state under the exclusive model lock, a
+// query-only plan shares the lock with clean scans and must write nothing
+// they read (the tsan leg runs this test).
 TEST(DetectionServer, ConcurrentServingIsBitIdenticalToDirectCalls) {
   const api::Detector det = trained_detector();
 
-  // A mixed stream: single-window, wide-scene multiscale, faulted.
+  // A mixed stream: single-window, wide-scene multiscale, stored-memory
+  // faulted, query-only faulted.
   std::vector<api::Request> requests;
-  for (std::uint64_t i = 0; i < 12; ++i) {
+  for (std::uint64_t i = 0; i < 16; ++i) {
     api::Request request;
     request.id = i;
     request.options.threads = 1;
     request.options.stride = kWindow / 2;
-    switch (i % 3) {
+    switch (i % 4) {
       case 0:
         request.scene = test_scene(kWindow, 300 + i);
         request.options.stride = kWindow;
@@ -252,6 +255,10 @@ TEST(DetectionServer, ConcurrentServingIsBitIdenticalToDirectCalls) {
         plan.model.kind = noise::FaultKind::kTransientFlip;
         plan.model.rate = 1e-3;
         plan.seed = 0xFA + i;
+        if (i % 4 == 3) {  // query-only: takes the shared lock
+          plan.item_memory = false;
+          plan.prototypes = false;
+        }
         request.options.fault_plan = plan;
         break;
       }
