@@ -299,12 +299,13 @@ struct ReportRow {
 
 // --- per-stage cell-chain rows ------------------------------------------------
 
-// Cost decomposition of the faithful per-cell encode chain (the plane-encode
-// floor bench/plane_encode attacks): the per-pixel hyperspace gradient, the
+// Cost decomposition of the faithful per-cell encode chain (the floor of a
+// cold cell-plane scan): the per-pixel hyperspace gradient, the
 // magnitude/orientation-bin compare chain, and the per-window level-bind /
 // accumulate tail that runs on cached cells — plus the whole-cell cost on
 // both batched implementations (reference per-pixel chain vs the fused word
-// kernels, bit-identical by contract).
+// kernels, bit-identical by contract). CI's perf-smoke job requires
+// fused_speedup >= 2.
 struct CellChainReport {
   double gradient_ns = 0.0;               // per pixel
   double angle_bin_ns = 0.0;              // per pixel (magnitude + bin)

@@ -119,7 +119,8 @@ class HdHogExtractor {
   //     faithful mode, no attached op counter (charges live on the reference
   //     chain), and ctx.pooled_fast_path().
   //   * Otherwise the reference per-pixel chain runs (also when
-  //     `force_reference` is set — the bench/ablation baseline knob).
+  //     `force_reference` is set — micro_ops' baseline timing and the
+  //     fused-kernel identity test's oracle).
   //
   // `levels` optionally supplies the scene's precomputed pixel→level indices
   // (see build_level_index_plane); pass nullptr to quantize on the fly. The

@@ -170,9 +170,10 @@ CascadeTable load_cascade_table(const std::string& path);
 // --- calibration workload ---------------------------------------------------
 
 // Deterministic sparse-scene family shared by tools/cascade_calibrate,
-// bench/cascade and the parity tests: `count` scenes of width × height with
-// `faces_per_scene` rendered faces pasted at deterministic positions over a
-// `background`-kind texture (plus the training pipeline's sensor noise).
+// hdbench, the fast-path gate tests and the parity tests: `count` scenes of
+// width × height with `faces_per_scene` rendered faces pasted at
+// deterministic positions over a `background`-kind texture (plus the
+// training pipeline's sensor noise).
 // Sparse scenes are where the cascade pays — almost every window is
 // background, and background margins collapse after a short prefix. kMixed
 // is the default because it matches the training negatives (which draw a

@@ -47,8 +47,8 @@ struct EncodeCacheStats {
   // this is the materialized-cell count, ≤ cells_total).
   std::uint64_t cells_computed = 0;
   // Grid cells the plane geometry holds (eager mode computes all of them).
-  // cells_computed / cells_total is the materialized fraction the
-  // plane-encode bench gates on.
+  // cells_computed / cells_total is the materialized fraction
+  // (FastPathGates checks it stays below 0.6 on a sparse scene).
   std::uint64_t cells_total = 0;
   // Materialized cells on the even/even parity subgrid the cascade prescreen
   // reads — the cells the prescreen driver forced (lazy + prescreen scans

@@ -184,8 +184,7 @@ auto cell_encoder(const HdFacePipeline& pipeline,
              core::StochasticContext& scratch, double* out) {
     scratch.reseed(hog::cell_plane_seed(seed, config.scale_index, gx, gy));
     extractor.cell_raw_values(scene, &levels, gx * plane.grid_step,
-                              gy * plane.grid_step, scratch, out,
-                              config.reference_cell_chain);
+                              gy * plane.grid_step, scratch, out);
   };
 }
 

@@ -82,11 +82,6 @@ struct ParallelDetectConfig {
   // kCellPlane (throws std::invalid_argument otherwise) and is ignored by
   // detect_windows_on_plane (its caller-built plane is already materialized).
   PlaneMode plane_mode = PlaneMode::kEager;
-  // Force the reference per-pixel stochastic chain for cell encodes instead
-  // of the fused batched kernel (bench/ablation baseline knob; both produce
-  // bit-identical cells). Accounting scans (feature_counter set) run the
-  // reference chain regardless — op charges are defined on it.
-  bool reference_cell_chain = false;
   // Optional cell-plane cache accounting (exact totals at any thread count;
   // untouched in kPerWindow mode).
   EncodeCacheStats* cache_stats = nullptr;

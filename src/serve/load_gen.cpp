@@ -1,18 +1,7 @@
-// hdlint: allow-file(wall-clock) — the load generator reads the steady clock
-// to pace open-loop arrivals and measure run duration. Time never selects
-// request content: every Request is a pure function of (config.seed, index)
-// via RequestFactory::make, which is what lets the bench replay the exact
-// stream against direct detect calls.
-
 #include "serve/load_gen.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
-#include <cmath>
-#include <future>
-#include <thread>
-#include <utility>
+#include <cstddef>
 #include <vector>
 
 #include "core/rng.hpp"
@@ -25,12 +14,9 @@ namespace hdface::serve {
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
 constexpr std::uint64_t kSceneSalt = 0x5CEC3;
 constexpr std::uint64_t kKindSalt = 0x417D;
 constexpr std::uint64_t kFaultSalt = 0xFA017;
-constexpr std::uint64_t kArrivalSalt = 0xA221;
 
 // A window-or-wider scene with clutter and one planted face — enough signal
 // that detection results are non-trivial, cheap enough to render a pool at
@@ -108,137 +94,6 @@ api::Request RequestFactory::make(std::uint64_t index) const {
     }
   }
   return request;
-}
-
-LoadReport run_closed_loop(DetectionServer& server,
-                           const RequestFactory& factory,
-                           const LoadGenConfig& config) {
-  std::atomic<std::uint64_t> next{0};
-  std::atomic<std::uint64_t> admitted{0};
-  std::atomic<std::uint64_t> rejected{0};
-  std::atomic<std::uint64_t> completed{0};
-  std::atomic<std::uint64_t> errors{0};
-  std::atomic<std::uint64_t> retries{0};
-
-  const auto client = [&] {
-    for (;;) {
-      // hdlint: allow(sched-dependent-value) — work-stealing index: which
-      // client claims which index varies with scheduling, but each index in
-      // [0, requests) is claimed exactly once and Request content is a pure
-      // function of (seed, index), so the processed set — and every per-request
-      // detection result — is schedule-independent.
-      const std::uint64_t i = next.fetch_add(1);
-      if (i >= config.requests) return;
-      const api::Request request = factory.make(i);
-      for (;;) {
-        auto submission = server.submit(request);
-        if (submission.admitted()) {
-          admitted.fetch_add(1);
-          const auto outcome = submission.response.get();
-          if (outcome.ok()) {
-            completed.fetch_add(1);
-          } else {
-            errors.fetch_add(1);
-          }
-          break;
-        }
-        // Closed-loop convention: a rejected client backs off and retries —
-        // offered load adapts until the server admits.
-        rejected.fetch_add(1);
-        retries.fetch_add(1);
-        // hdlint: allow(sleep-as-sync) — backpressure pacing, not a
-        // synchronization substitute: correctness never depends on the nap
-        // (the retry loop re-checks admission), it only throttles offered
-        // load while the queue is full.
-        std::this_thread::sleep_for(std::chrono::microseconds(200));
-      }
-    }
-  };
-
-  const auto start = Clock::now();
-  std::vector<std::thread> clients;
-  const std::size_t n_clients = std::max<std::size_t>(1, config.concurrency);
-  clients.reserve(n_clients);
-  for (std::size_t c = 0; c < n_clients; ++c) clients.emplace_back(client);
-  for (auto& t : clients) t.join();
-  const double duration_s =
-      std::chrono::duration<double>(Clock::now() - start).count();
-
-  LoadReport report;
-  report.offered = config.requests;
-  report.admitted = admitted.load();
-  report.rejected = rejected.load();
-  report.completed = completed.load();
-  report.errors = errors.load();
-  report.retries = retries.load();
-  report.duration_s = duration_s;
-  report.achieved_rps =
-      duration_s > 0.0 ? static_cast<double>(report.completed) / duration_s : 0.0;
-  report.server = server.stats();
-  return report;
-}
-
-LoadReport run_open_loop(DetectionServer& server, const RequestFactory& factory,
-                         const LoadGenConfig& config) {
-  HD_CHECK(config.offered_rps > 0.0, "run_open_loop: offered_rps must be > 0");
-  // Pre-computed Poisson process: arrival offsets are a pure function of
-  // (seed, rate), so two runs at the same config offer the same schedule.
-  std::vector<double> arrival_s(config.requests);
-  core::Rng rng(core::mix64(config.seed, kArrivalSalt));
-  double t = 0.0;
-  for (auto& a : arrival_s) {
-    const double u = rng.uniform();
-    t += -std::log1p(-u) / config.offered_rps;  // Exp(rate) inter-arrival
-    a = t;
-  }
-
-  std::vector<std::future<api::Outcome<api::Response>>> pending;
-  pending.reserve(config.requests);
-  std::uint64_t admitted = 0;
-  std::uint64_t rejected = 0;
-
-  const auto start = Clock::now();
-  for (std::size_t i = 0; i < config.requests; ++i) {
-    // hdlint: allow(sleep-as-sync) — open-loop arrival pacing: the sleep
-    // *is* the workload (seeded-Poisson offered rate), not a stand-in for
-    // synchronization; detection results never depend on the schedule.
-    std::this_thread::sleep_until(
-        start + std::chrono::duration<double>(arrival_s[i]));
-    auto submission = server.submit(factory.make(i));
-    if (submission.admitted()) {
-      admitted += 1;
-      pending.push_back(std::move(submission.response));
-    } else {
-      // Open loop never retries: the rejection rate is the signal.
-      rejected += 1;
-    }
-  }
-
-  std::uint64_t completed = 0;
-  std::uint64_t errors = 0;
-  for (auto& future : pending) {
-    const auto outcome = future.get();
-    if (outcome.ok()) {
-      completed += 1;
-    } else {
-      errors += 1;
-    }
-  }
-  const double duration_s =
-      std::chrono::duration<double>(Clock::now() - start).count();
-
-  LoadReport report;
-  report.offered = config.requests;
-  report.admitted = admitted;
-  report.rejected = rejected;
-  report.completed = completed;
-  report.errors = errors;
-  report.duration_s = duration_s;
-  report.offered_rps = config.offered_rps;
-  report.achieved_rps =
-      duration_s > 0.0 ? static_cast<double>(completed) / duration_s : 0.0;
-  report.server = server.stats();
-  return report;
 }
 
 }  // namespace hdface::serve

@@ -1,33 +1,19 @@
 #pragma once
 
-// Load generation against a DetectionServer: the measurement half of
-// detection-as-a-service.
-//
-// Two classical load models (the Nighthawk distinction):
-//
-//   closed loop — `concurrency` clients each keep exactly one request in
-//     flight; the next submission waits for the previous response. Offered
-//     load adapts to the server, so the sweep over concurrency traces the
-//     throughput ceiling (saturation = achieved rps stops growing).
-//
-//   open loop — request i arrives at a pre-computed, seed-deterministic
-//     exponential arrival time for the configured rate, whether or not the
-//     server keeps up. Rejections are not retried: the kQueueFull rate IS
-//     the saturation signal, and latency-vs-offered-load curves come from
-//     sweeping the rate past the closed-loop ceiling.
-//
-// Both loops draw requests from a RequestFactory whose make(i) is a pure
-// function of (config, window, i): the same factory replays the identical
-// request stream against direct Detector::detect calls, which is how the
-// serving bench proves served results are bit-identical to one-shot calls.
+// The repository's serving request mix: a RequestFactory turns (config,
+// window, index) into one api::Request — a single window, a 3x-window
+// multiscale scene, or a scene scanned under a query fault plan — with every
+// field a pure function of its inputs. The benchmark's served workload
+// (hdbench/) drives a DetectionServer with this stream and replays the same
+// requests through direct Detector::detect calls to check that served
+// results are bit-identical.
 
 #include <cstddef>
 #include <cstdint>
-#include <string_view>
 #include <vector>
 
 #include "api/types.hpp"
-#include "serve/server.hpp"
+#include "image/image.hpp"
 
 namespace hdface::serve {
 
@@ -38,15 +24,6 @@ enum class MixKind : std::uint8_t {
   kFaultedQuery,        // single-scale scene scanned under a fault plan
 };
 
-constexpr std::string_view mix_kind_name(MixKind k) {
-  switch (k) {
-    case MixKind::kSingleWindow: return "single_window";
-    case MixKind::kMultiscaleScene: return "multiscale_scene";
-    case MixKind::kFaultedQuery: return "faulted_query";
-  }
-  return "unknown";
-}
-
 struct MixWeights {
   double single_window = 0.6;
   double multiscale_scene = 0.25;
@@ -55,12 +32,6 @@ struct MixWeights {
 
 struct LoadGenConfig {
   std::uint64_t seed = 0x5E12E;
-  // Total requests per run (closed loop: completions; open loop: arrivals).
-  std::size_t requests = 64;
-  // Closed-loop client count.
-  std::size_t concurrency = 4;
-  // Open-loop arrival rate, requests per second.
-  double offered_rps = 100.0;
   MixWeights mix;
   // Distinct pre-rendered scenes per mix kind (requests index into the pool
   // deterministically; rendering stays off the submission path).
@@ -91,29 +62,5 @@ class RequestFactory {
   std::vector<image::Image> window_scenes_;  // window-sized, one window each
   std::vector<image::Image> wide_scenes_;    // 3x window, multiscale/faulted
 };
-
-struct LoadReport {
-  // Distinct requests the loop tried to serve.
-  std::uint64_t offered = 0;
-  std::uint64_t admitted = 0;
-  // Admission rejections observed by clients (closed loop: pre-retry count;
-  // open loop: final rejections — these requests were never served).
-  std::uint64_t rejected = 0;
-  std::uint64_t completed = 0;  // ok outcomes
-  std::uint64_t errors = 0;     // error outcomes (kInternal etc.)
-  std::uint64_t retries = 0;    // closed-loop re-submissions after rejection
-  double duration_s = 0.0;
-  double offered_rps = 0.0;   // open loop: configured rate; closed loop: 0
-  double achieved_rps = 0.0;  // completions / duration
-  // Final merged server snapshot (histograms, counters, conservation).
-  ServerStats server;
-};
-
-LoadReport run_closed_loop(DetectionServer& server,
-                           const RequestFactory& factory,
-                           const LoadGenConfig& config);
-
-LoadReport run_open_loop(DetectionServer& server, const RequestFactory& factory,
-                         const LoadGenConfig& config);
 
 }  // namespace hdface::serve

@@ -25,17 +25,19 @@
 // latency_histogram.hpp), so p50/p99/p999 are identical no matter how many
 // workers served the load or in which order shards merge.
 //
-// Queue-accounting conservation (the invariant the serving CI job gates
-// on): every submit() lands in exactly one of {admitted, rejected_*}, and
-// every admitted request in exactly one of {completed, failed, in flight}.
-// ServerStats::conserved() checks it; shutdown() drains the queue, so after
-// shutdown in_flight is 0 and admitted == completed + failed.
+// Queue-accounting conservation: every submit() lands in exactly one of
+// {admitted, rejected_*}, and every admitted request in exactly one of
+// {completed, failed, in flight}. ServerStats::conserved() checks it (the
+// server tests assert it with and without live workers); shutdown() drains
+// the queue, so after shutdown in_flight is 0 and admitted == completed +
+// failed.
 //
 // Determinism: detection results ride the engine's bit-identical contract —
 // a served request returns exactly the detections Detector::detect would
 // return for the same (scene, options), at any worker count and any
-// interleaving (the serving bench verifies this per request). Latency
-// numbers are of course timing-dependent; only the *results* are not.
+// interleaving (the server tests and the benchmark's served workload check
+// this per request). Latency numbers are of course timing-dependent; only
+// the *results* are not.
 //
 // A fault plan that targets stored memory (item memories, mask pool,
 // prototypes) mutates shared pipeline storage for the duration of its scan

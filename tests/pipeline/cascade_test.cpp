@@ -49,7 +49,8 @@ struct CascadeFixture {
     data_cfg.image_size = kWindow;
     pipeline.fit(make_face_dataset(data_cfg));
     // The cascade's margin statistic lives in binarized-prototype Hamming
-    // space; golden decisions must live there too (see bench/cascade.cpp).
+    // space; golden decisions must live there too (see
+    // tools/cascade_calibrate.cpp).
     pipeline.mutable_classifier().set_binary_override(
         pipeline.classifier().binary_prototypes());
 
@@ -302,9 +303,9 @@ TEST(Cascade, CalibratedMapAndStatsAreThreadCountInvariant) {
 
 TEST(Cascade, ScanOnPrebuiltPlaneMatchesEndToEnd) {
   auto& f = fixture();
-  // bench/cascade's plane-amortized decomposition leans on this contract:
-  // the scan stage over a prebuilt plane — exact and cascaded — reproduces
-  // the end-to-end kCellPlane scan bit-for-bit.
+  // Plane-amortized scans (FastPathGates' exact-vs-cascaded op counts)
+  // lean on this contract: the scan stage over a prebuilt plane — exact and
+  // cascaded — reproduces the end-to-end kCellPlane scan bit-for-bit.
   ParallelDetectConfig cfg;
   cfg.threads = 1;
   cfg.encode_mode = EncodeMode::kCellPlane;

@@ -1,5 +1,6 @@
 #include "serve/server.hpp"
 
+#include <future>
 #include <thread>
 #include <vector>
 
@@ -97,6 +98,52 @@ TEST(DetectionServer, QueueFullRejectionsAreDeterministic) {
     EXPECT_EQ(after.in_flight, 0u);
     EXPECT_TRUE(after.conserved());
   }
+}
+
+// Admission with a live worker: one worker drains a two-slot queue while the
+// test submits back to back, so which submissions find the queue full
+// depends on timing. Each one is still either admitted or rejected with
+// kQueueFull, and the counters account for every one of them (the tsan leg
+// runs this test).
+TEST(DetectionServer, QueueFullRejectionsWithLiveWorkerConserve) {
+  const api::Detector det = trained_detector();
+  ServerConfig config;
+  config.queue_depth = 2;
+  config.workers = 1;
+  DetectionServer server(det, config);
+
+  constexpr std::uint64_t kSubmissions = 16;
+  std::vector<std::future<api::Outcome<api::Response>>> admitted;
+  std::uint64_t rejected = 0;
+  for (std::uint64_t i = 0; i < kSubmissions; ++i) {
+    api::Request request = valid_request(i);
+    request.scene = test_scene(3 * kWindow, 100 + i);  // a scan, not a window
+    request.options.stride = kWindow / 2;
+    auto submission = server.submit(request);
+    if (submission.admitted()) {
+      admitted.push_back(std::move(submission.response));
+    } else {
+      EXPECT_EQ(submission.rejected->code, api::ErrorCode::kQueueFull)
+          << "submission " << i;
+      rejected += 1;
+    }
+  }
+  ASSERT_FALSE(admitted.empty());  // the first submission finds the queue empty
+  const ServerStats live = server.stats();
+  EXPECT_EQ(live.counters.submitted, kSubmissions);
+  EXPECT_EQ(live.counters.admitted, admitted.size());
+  EXPECT_EQ(live.counters.rejected_queue_full, rejected);
+  EXPECT_EQ(live.counters.admitted + live.counters.rejected_queue_full,
+            live.counters.submitted);
+  EXPECT_TRUE(live.conserved());
+
+  server.shutdown();
+  for (auto& response : admitted) EXPECT_TRUE(response.get().ok());
+  const ServerStats after = server.stats();
+  EXPECT_EQ(after.counters.completed + after.counters.failed,
+            after.counters.admitted);
+  EXPECT_EQ(after.in_flight, 0u);
+  EXPECT_TRUE(after.conserved());
 }
 
 TEST(DetectionServer, BackpressureSignalReportsOccupancy) {

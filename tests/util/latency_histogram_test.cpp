@@ -128,9 +128,15 @@ TEST(LatencyHistogram, ShardMergeIsExactAtAnyCountPartitionAndOrder) {
         ASSERT_EQ(merged->sum(), reference.sum());
         ASSERT_EQ(merged->min(), reference.min());
         ASSERT_EQ(merged->max(), reference.max());
+        // Exact, and ordered: p50 <= p99 <= p999 <= max.
+        std::uint64_t previous = 0;
         for (const double q : kProbes) {
-          ASSERT_EQ(merged->quantile(q), reference.quantile(q))
+          const std::uint64_t value = merged->quantile(q);
+          ASSERT_EQ(value, reference.quantile(q))
               << "shards " << shards << " rr " << round_robin << " q " << q;
+          ASSERT_GE(value, previous)
+              << "shards " << shards << " rr " << round_robin << " q " << q;
+          previous = value;
         }
         const auto buckets = merged->nonzero_buckets();
         ASSERT_EQ(buckets.size(), reference_buckets.size());

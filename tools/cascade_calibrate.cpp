@@ -18,9 +18,10 @@
 //                     [--out cascade_table.txt]
 //
 // The defaults calibrate quickly; for a production-sharp table use the
-// bench/cascade recipe (--dim 4096 --train 400 --epochs 30 --window 32
-// --stride 8 --slack 0.001 --stages 0.0625,0.125,0.25,0.5): rejection power
-// is a property of the classifier's margins, not of the cascade machinery.
+// benchmark model's recipe (hdbench/, tests/pipeline/fast_path_gates_test.cpp:
+// --dim 4096 --train 400 --epochs 30 --window 32 --stride 8 --slack 0.001
+// --stages 0.0625,0.125,0.25,0.5): rejection power is a property of the
+// classifier's margins, not of the cascade machinery.
 
 #include <cstdio>
 #include <stdexcept>
@@ -102,9 +103,11 @@ int main(int argc, char** argv) {
   std::fprintf(stderr, "training (D=%zu, %zu windows of %zupx)...\n", dim,
                train.size(), window);
   det.fit(train);
-  // Calibrate in binary Hamming inference mode (see bench/cascade.cpp): the
-  // prefix margins and the golden decisions must live in the same
-  // binarized-prototype geometry for the thresholds to have rejection power.
+  // Calibrate in binary Hamming inference mode: the prefix margins and the
+  // golden decisions must live in the same binarized-prototype geometry for
+  // the thresholds to have rejection power. Under cosine inference a
+  // float-positive window can lose in binary space, and that one outlier
+  // drags every calibrated threshold below the background margins.
   det.pipeline()->mutable_classifier().set_binary_override(
       det.pipeline()->classifier().binary_prototypes());
 
