@@ -109,29 +109,6 @@ void add_xor_weighted_scalar(const std::uint64_t* a, const std::uint64_t* b,
   }
 }
 
-void select_words_scalar(const std::uint64_t* a, const std::uint64_t* b,
-                         const std::uint64_t* m, std::uint64_t cond_flip,
-                         std::uint64_t out_flip, std::uint64_t* dst,
-                         std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    dst[i] = (b[i] ^ (((a[i] ^ b[i]) ^ cond_flip) & m[i])) ^ out_flip;
-  }
-}
-
-std::uint64_t popcount_select_xor_scalar(const std::uint64_t* a,
-                                         const std::uint64_t* b,
-                                         const std::uint64_t* m,
-                                         const std::uint64_t* x,
-                                         std::uint64_t cond_flip,
-                                         std::size_t n) {
-  std::uint64_t total = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint64_t sel = b[i] ^ (((a[i] ^ b[i]) ^ cond_flip) & m[i]);
-    total += static_cast<std::uint64_t>(std::popcount(sel ^ x[i]));
-  }
-  return total;
-}
-
 std::size_t threshold_words_scalar(const double* counts, std::size_t dim,
                                    std::uint64_t* out_words) {
   std::size_t zeros = 0;
@@ -156,6 +133,50 @@ std::size_t threshold_words_scalar(const double* counts, std::size_t dim,
     out_words[full_words] = word;
   }
   return zeros;
+}
+
+void bundle_words_scalar(const std::uint64_t* const* a,
+                         const std::uint64_t* const* b, const double* weights,
+                         std::size_t slots, std::size_t word_lo,
+                         std::size_t word_hi, std::uint64_t* out_words,
+                         std::uint64_t* zero_masks) {
+  for (std::size_t w = word_lo; w < word_hi; ++w) {
+    double c[64] = {};
+    for (std::size_t s = 0; s < slots; ++s) {
+      const double sel[2] = {-weights[s], weights[s]};
+      std::uint64_t x = a[s][w] ^ b[s][w];
+      for (std::size_t bit = 0; bit < 64; ++bit, x >>= 1) {
+        c[bit] += sel[x & 1ULL];
+      }
+    }
+    std::uint64_t word = 0;
+    std::uint64_t zeros = 0;
+    for (std::size_t bit = 0; bit < 64; ++bit) {
+      word |= static_cast<std::uint64_t>(c[bit] > 0.0) << bit;
+      zeros |= static_cast<std::uint64_t>(c[bit] == 0.0) << bit;
+    }
+    out_words[w] = word;
+    zero_masks[w] = zeros;
+  }
+}
+
+std::uint64_t select_rotated_scalar(const SelectOperands& op,
+                                    std::uint64_t* dst, std::size_t n) {
+  // Word i of a view is words[(i + offset) % n]; null words read as zero.
+  const auto word = [n](const WordView& v, std::size_t i) -> std::uint64_t {
+    if (v.words == nullptr) return 0;
+    const std::size_t k = i + v.offset;
+    return v.words[k >= n ? k - n : k];
+  };
+  std::uint64_t total = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint64_t p = word(op.p1, i) ^ word(op.p2, i) ^ op.p_flip;
+    const std::uint64_t q = word(op.q1, i) ^ word(op.q2, i) ^ op.q_flip;
+    const std::uint64_t out = q ^ ((p ^ q) & word(op.m, i));
+    dst[i] = out;
+    total += static_cast<std::uint64_t>(std::popcount(out));
+  }
+  return total;
 }
 
 // --- dispatch state ---------------------------------------------------------
@@ -221,13 +242,13 @@ const KernelTable& auto_table() {
 
 const KernelTable& scalar_table() {
   static const KernelTable table = {
-      Backend::kScalar,           &xor_words_scalar,
-      &and_words_scalar,          &or_words_scalar,
-      &not_words_scalar,          &popcount_words_scalar,
-      &hamming_words_scalar,      &hamming_block_scalar,
+      Backend::kScalar,            &xor_words_scalar,
+      &and_words_scalar,           &or_words_scalar,
+      &not_words_scalar,           &popcount_words_scalar,
+      &hamming_words_scalar,       &hamming_block_scalar,
       &hamming_block_range_scalar, &add_xor_weighted_scalar,
-      &threshold_words_scalar,    &select_words_scalar,
-      &popcount_select_xor_scalar};
+      &threshold_words_scalar,     &bundle_words_scalar,
+      &select_rotated_scalar};
   return table;
 }
 

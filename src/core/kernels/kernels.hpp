@@ -12,13 +12,20 @@
 // CPU feature probe.
 //
 // Contract — every backend is BIT-IDENTICAL to the scalar reference:
-//   * integer kernels (popcount, hamming, bulk logic) are trivially exact;
+//   * integer kernels (popcount, hamming, bulk logic, select_rotated) are
+//     trivially exact; select_rotated's rotated reads are address offsets
+//     (word i of a view is words[(i + offset) % n]), never a reordering of
+//     the arithmetic;
 //   * add_xor_weighted adds exactly ±weight per dimension (an IEEE sign
 //     flip is exact, and each counter sees one rounded add — the same
 //     single rounding the scalar loop performs);
-//   * threshold_words only compares against zero (exact) and leaves the
-//     tie-breaking RNG draws to the caller so the draw order is the
-//     scalar order (ascending dimension, zeros only).
+//   * bundle_words performs the same adds in the same order as
+//     add_xor_weighted called once per slot on a zeroed counter (+0.0 then
+//     ±weight per slot, slot order), only with the counters held in
+//     registers, and thresholds them with the same compares;
+//   * threshold_words and bundle_words only compare against zero (exact)
+//     and leave the tie-breaking RNG draws to the caller so the draw order
+//     is the scalar order (ascending dimension, zeros only).
 // The op-counter charges are caller-side (hamming_many, Accumulator) and
 // depend only on word/dimension counts, so switching backends never changes
 // an op total either. This is what lets the determinism suites, the
@@ -42,6 +49,27 @@
 #include "core/kernels/backend.hpp"
 
 namespace hdface::core::kernels {
+
+// A read-only view of n packed words read through a word rotation: word i
+// of the view is words[(i + offset) % n], offset < n. A pooled Bernoulli
+// mask is stored unrotated and drawn as such a view (the rotation is an
+// address offset, never a copy); a plain array is a view with offset 0.
+struct WordView {
+  const std::uint64_t* words = nullptr;
+  std::size_t offset = 0;
+};
+
+// Operands of select_rotated: two XOR pairs with constant flips and the
+// selecting mask. A view with null words reads as zero (p2 and q2 only).
+struct SelectOperands {
+  WordView p1 = {};
+  WordView p2 = {};
+  std::uint64_t p_flip = 0;
+  WordView q1 = {};
+  WordView q2 = {};
+  std::uint64_t q_flip = 0;
+  WordView m = {};
+};
 
 // Kernel table: raw packed-word primitives. `n` is always a word count; all
 // pointers may be unaligned to vector width (backends use unaligned loads)
@@ -103,31 +131,33 @@ struct KernelTable {
   std::size_t (*threshold_words)(const double* counts, std::size_t dim,
                                  std::uint64_t* out_words);
 
-  // Fused mask-select (the stochastic weighted-average inner form):
-  //   dst[i] = (b[i] ^ (((a[i] ^ b[i]) ^ cond_flip) & m[i])) ^ out_flip
-  // With cond_flip = out_flip = 0 this is exactly
-  // StochasticContext::weighted_average's per-word update (select a where
-  // the mask is set, b elsewhere); cond_flip/out_flip = ~0 fold the
-  // operand/result complements of add_halved(a, ~b) into the same single
-  // pass so the batched cell encoder never materializes a NOT. dst may
-  // alias a and/or b (elementwise read-before-write), never m.
-  void (*select_words)(const std::uint64_t* a, const std::uint64_t* b,
-                       const std::uint64_t* m, std::uint64_t cond_flip,
-                       std::uint64_t out_flip, std::uint64_t* dst,
-                       std::size_t n);
+  // Register-blocked weighted bundle (the window-assembly hot loop): for
+  // each word w in [word_lo, word_hi) and each of its 64 dimensions d,
+  //   count_d = Σ_s (bit d of a[s][w] ^ b[s][w] ? +weights[s] : −weights[s])
+  // summed in slot order s = 0..slots−1 starting from +0.0, exactly the adds
+  // add_xor_weighted performs per slot. Writes out_words[w] = the bits with
+  // count_d > 0 and zero_masks[w] = the bits with count_d == 0, so the
+  // caller runs the tie-break draws from the masks in ascending dimension
+  // order. a[s] and b[s] are full vectors (the kernel applies w); bits past
+  // a caller's dim come out as computed from the stored (zero) tail bits, so
+  // the caller masks them.
+  void (*bundle_words)(const std::uint64_t* const* a,
+                       const std::uint64_t* const* b, const double* weights,
+                       std::size_t slots, std::size_t word_lo,
+                       std::size_t word_hi, std::uint64_t* out_words,
+                       std::uint64_t* zero_masks);
 
-  // Fused mask-select + XOR-popcount reduction (select_words immediately
-  // decoded against x, typically the stochastic basis):
-  //   Σ_i popcount((b[i] ^ (((a[i] ^ b[i]) ^ cond_flip) & m[i])) ^ x[i])
-  // One pass replaces the weighted_average + decode / compare chains of the
-  // per-pixel encoder; an out_flip of ~0 is folded by the caller via
-  // H = 64·n − result (exact when no tail bits are in play, i.e. dim % 64
-  // == 0 — the batched-encoder fast-path gate).
-  std::uint64_t (*popcount_select_xor)(const std::uint64_t* a,
-                                       const std::uint64_t* b,
-                                       const std::uint64_t* m,
-                                       const std::uint64_t* x,
-                                       std::uint64_t cond_flip, std::size_t n);
+  // Fused select over rotated views (the batched cell encoder's one word
+  // kernel): for i < n
+  //   out[i] = m[i] ? (p1[i] ^ p2[i] ^ p_flip) : (q1[i] ^ q2[i] ^ q_flip)
+  // bitwise, every operand read through its rotation. Writes out to dst and
+  // returns Σ popcount(out[i]). dst may alias an operand whose offset is 0
+  // (each word is read before it is written), never a rotated one. SIMD
+  // backends run whole vectors when n is a multiple of their width — only
+  // the one vector of a view that straddles its wrap is assembled specially
+  // — and the scalar loop otherwise.
+  std::uint64_t (*select_rotated)(const SelectOperands& op, std::uint64_t* dst,
+                                  std::size_t n);
 };
 
 // The reference backend (always compiled).

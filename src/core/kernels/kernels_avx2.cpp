@@ -6,11 +6,12 @@
 //
 // Bit-identity with the scalar backend:
 //   * logic/popcount/hamming kernels are integer-exact;
-//   * add_xor_weighted builds ±weight by XORing the IEEE sign bit (exact
-//     negation) and performs exactly one rounded add per dimension, the same
-//     as the scalar two-entry select table;
-//   * threshold_words uses ordered > / == compares against +0.0, identical
-//     to the scalar comparisons.
+//   * add_xor_weighted and bundle_words build ±weight by XORing the IEEE
+//     sign bit (exact negation) and perform exactly one rounded add per
+//     dimension and slot, in slot order, the same as the scalar two-entry
+//     select table;
+//   * threshold_words and bundle_words use ordered > / == compares against
+//     +0.0, identical to the scalar comparisons.
 
 #if defined(HDFACE_KERNEL_AVX2)
 
@@ -20,6 +21,7 @@
 #include <cstdint>
 
 #include "core/kernels/backends.hpp"
+#include "core/kernels/select_rotated.hpp"
 
 namespace hdface::core::kernels::detail {
 namespace {
@@ -211,51 +213,85 @@ std::size_t threshold_words_avx2(const double* counts, std::size_t dim,
   return zeros;
 }
 
-void select_words_avx2(const std::uint64_t* a, const std::uint64_t* b,
-                       const std::uint64_t* m, std::uint64_t cond_flip,
-                       std::uint64_t out_flip, std::uint64_t* dst,
-                       std::size_t n) {
-  const __m256i cf = _mm256_set1_epi64x(static_cast<long long>(cond_flip));
-  const __m256i of = _mm256_set1_epi64x(static_cast<long long>(out_flip));
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i av = load256(a + i);
-    const __m256i bv = load256(b + i);
-    const __m256i mv = load256(m + i);
-    const __m256i cond =
-        _mm256_and_si256(_mm256_xor_si256(_mm256_xor_si256(av, bv), cf), mv);
-    store256(dst + i, _mm256_xor_si256(_mm256_xor_si256(bv, cond), of));
-  }
-  for (; i < n; ++i) {
-    dst[i] = (b[i] ^ (((a[i] ^ b[i]) ^ cond_flip) & m[i])) ^ out_flip;
+void bundle_words_avx2(const std::uint64_t* const* a,
+                       const std::uint64_t* const* b, const double* weights,
+                       std::size_t slots, std::size_t word_lo,
+                       std::size_t word_hi, std::uint64_t* out_words,
+                       std::uint64_t* zero_masks) {
+  const __m256d sign = _mm256_set1_pd(-0.0);
+  const __m256d zero = _mm256_setzero_pd();
+  const __m256i lane = _mm256_setr_epi64x(0, 1, 2, 3);
+  for (std::size_t w = word_lo; w < word_hi; ++w) {
+    std::uint64_t word = 0;
+    std::uint64_t zeros = 0;
+    // Half a word (32 counters, eight registers) per pass over the slots, so
+    // the counters stay in registers; each counter still sees its adds in
+    // slot order.
+    for (std::size_t half = 0; half < 64; half += 32) {
+      __m256d c[8];
+      for (auto& v : c) v = zero;
+      for (std::size_t s = 0; s < slots; ++s) {
+        const __m256i x = _mm256_set1_epi64x(
+            static_cast<long long>(a[s][w] ^ b[s][w]));
+        const __m256d pos = _mm256_set1_pd(weights[s]);
+        const __m256d neg = _mm256_xor_pd(pos, sign);
+        for (std::size_t g = 0; g < 8; ++g) {
+          // Lane l's sign bit becomes bit (half + 4g + l) of the XOR, which
+          // blendv reads to pick +w.
+          const __m256i shift = _mm256_sub_epi64(
+              _mm256_set1_epi64x(static_cast<long long>(63 - half - 4 * g)),
+              lane);
+          const __m256d pick = _mm256_castsi256_pd(_mm256_sllv_epi64(x, shift));
+          c[g] = _mm256_add_pd(c[g], _mm256_blendv_pd(neg, pos, pick));
+        }
+      }
+      for (std::size_t g = 0; g < 8; ++g) {
+        const int gt = _mm256_movemask_pd(_mm256_cmp_pd(c[g], zero, _CMP_GT_OQ));
+        const int eq = _mm256_movemask_pd(_mm256_cmp_pd(c[g], zero, _CMP_EQ_OQ));
+        word |= static_cast<std::uint64_t>(gt) << (half + 4 * g);
+        zeros |= static_cast<std::uint64_t>(eq) << (half + 4 * g);
+      }
+    }
+    out_words[w] = word;
+    zero_masks[w] = zeros;
   }
 }
 
-std::uint64_t popcount_select_xor_avx2(const std::uint64_t* a,
-                                       const std::uint64_t* b,
-                                       const std::uint64_t* m,
-                                       const std::uint64_t* x,
-                                       std::uint64_t cond_flip, std::size_t n) {
-  const __m256i cf = _mm256_set1_epi64x(static_cast<long long>(cond_flip));
-  __m256i acc = _mm256_setzero_si256();
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i av = load256(a + i);
-    const __m256i bv = load256(b + i);
-    const __m256i mv = load256(m + i);
-    const __m256i cond =
-        _mm256_and_si256(_mm256_xor_si256(_mm256_xor_si256(av, bv), cf), mv);
-    const __m256i sel = _mm256_xor_si256(bv, cond);
-    acc = _mm256_add_epi64(
-        acc, popcount_lanes(_mm256_xor_si256(sel, load256(x + i))));
+// select_rotated's vector traits (see select_rotated.hpp).
+struct Avx2Vec {
+  using Vec = __m256i;
+  static constexpr std::size_t kWords = 4;
+  static Vec load(const std::uint64_t* p) { return load256(p); }
+  // The straddling vector: lanes [0, len) are the view's last len words,
+  // the rest its first words. One 32-bit index rotates both the entry's
+  // last and first full vectors into place, and a lane blend joins them.
+  static Vec load_wrapped(const std::uint64_t* words, std::size_t s,
+                          std::size_t n) {
+    const auto len = static_cast<long long>(n - s);
+    const __m256i idx = _mm256_and_si256(
+        _mm256_add_epi32(_mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
+                         _mm256_set1_epi32(static_cast<int>(8 - 2 * len))),
+        _mm256_set1_epi32(7));
+    const __m256i tail = _mm256_permutevar8x32_epi32(load256(words + n - 4), idx);
+    const __m256i head = _mm256_permutevar8x32_epi32(load256(words), idx);
+    const __m256i from_tail = _mm256_cmpgt_epi64(
+        _mm256_set1_epi64x(len), _mm256_setr_epi64x(0, 1, 2, 3));
+    return _mm256_blendv_epi8(head, tail, from_tail);
   }
-  std::uint64_t total = hsum_epi64(acc);
-  for (; i < n; ++i) {
-    const std::uint64_t sel = b[i] ^ (((a[i] ^ b[i]) ^ cond_flip) & m[i]);
-    total += static_cast<std::uint64_t>(std::popcount(sel ^ x[i]));
+  static Vec splat(std::uint64_t x) {
+    return _mm256_set1_epi64x(static_cast<long long>(x));
   }
-  return total;
-}
+  static Vec bxor(Vec a, Vec b) { return _mm256_xor_si256(a, b); }
+  static Vec select(Vec m, Vec p, Vec q) {
+    return _mm256_or_si256(_mm256_and_si256(m, p), _mm256_andnot_si256(m, q));
+  }
+  static void store(std::uint64_t* p, Vec v) { store256(p, v); }
+  static Vec zero() { return _mm256_setzero_si256(); }
+  static Vec popcount_add(Vec acc, Vec v) {
+    return _mm256_add_epi64(acc, popcount_lanes(v));
+  }
+  static std::uint64_t reduce(Vec acc) { return hsum_epi64(acc); }
+};
 
 // Prefix/range variant: a hamming_block over the words [word_lo, word_hi),
 // run by this backend's own block kernel on offset pointers — bit-identity
@@ -277,8 +313,8 @@ const KernelTable& avx2_table() {
       &not_words_avx2,           &popcount_words_avx2,
       &hamming_words_avx2,       &hamming_block_avx2,
       &hamming_block_range_avx2, &add_xor_weighted_avx2,
-      &threshold_words_avx2,     &select_words_avx2,
-      &popcount_select_xor_avx2};
+      &threshold_words_avx2,     &bundle_words_avx2,
+      &select_rotated_simd<Avx2Vec>};
   return table;
 }
 

@@ -6,9 +6,10 @@
 // it when __builtin_cpu_supports reports all four features.
 //
 // Bit-identity with the scalar backend follows the same argument as the
-// AVX2 TU: integer kernels are exact; add_xor_weighted sign-flips ±weight
-// via the IEEE sign bit and rounds once per add; threshold_words compares
-// against +0.0 with ordered > / ==.
+// AVX2 TU: integer kernels are exact; add_xor_weighted and bundle_words
+// sign-flip ±weight via the IEEE sign bit and round once per add, in slot
+// order; threshold_words and bundle_words compare against +0.0 with
+// ordered > / ==.
 
 #if defined(HDFACE_KERNEL_AVX512)
 
@@ -18,6 +19,7 @@
 #include <cstdint>
 
 #include "core/kernels/backends.hpp"
+#include "core/kernels/select_rotated.hpp"
 
 namespace hdface::core::kernels::detail {
 namespace {
@@ -217,59 +219,80 @@ std::size_t threshold_words_avx512(const double* counts, std::size_t dim,
   return zeros;
 }
 
-void select_words_avx512(const std::uint64_t* a, const std::uint64_t* b,
-                         const std::uint64_t* m, std::uint64_t cond_flip,
-                         std::uint64_t out_flip, std::uint64_t* dst,
-                         std::size_t n) {
-  const __m512i cf = _mm512_set1_epi64(static_cast<long long>(cond_flip));
-  const __m512i of = _mm512_set1_epi64(static_cast<long long>(out_flip));
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m512i av = load512(a + i);
-    const __m512i bv = load512(b + i);
-    const __m512i mv = load512(m + i);
-    const __m512i cond =
-        _mm512_and_si512(_mm512_xor_si512(_mm512_xor_si512(av, bv), cf), mv);
-    store512(dst + i, _mm512_xor_si512(_mm512_xor_si512(bv, cond), of));
-  }
-  if (i < n) {
-    const __mmask8 k = tail_mask(n - i);
-    const __m512i av = load512_tail(a + i, k);
-    const __m512i bv = load512_tail(b + i, k);
-    const __m512i mv = load512_tail(m + i, k);
-    const __m512i cond =
-        _mm512_and_si512(_mm512_xor_si512(_mm512_xor_si512(av, bv), cf), mv);
-    _mm512_mask_storeu_epi64(
-        dst + i, k, _mm512_xor_si512(_mm512_xor_si512(bv, cond), of));
+void bundle_words_avx512(const std::uint64_t* const* a,
+                         const std::uint64_t* const* b, const double* weights,
+                         std::size_t slots, std::size_t word_lo,
+                         std::size_t word_hi, std::uint64_t* out_words,
+                         std::uint64_t* zero_masks) {
+  const __m512i sign = _mm512_set1_epi64(static_cast<long long>(1ULL << 63));
+  const __m512d zero = _mm512_setzero_pd();
+  for (std::size_t w = word_lo; w < word_hi; ++w) {
+    // The word's 64 counters live in eight registers across every slot;
+    // byte g of the XOR selects +w or −w for dimensions 8g..8g+7.
+    __m512d c[8];
+    for (auto& v : c) v = zero;
+    for (std::size_t s = 0; s < slots; ++s) {
+      const std::uint64_t x = a[s][w] ^ b[s][w];
+      const __m512d pos = _mm512_set1_pd(weights[s]);
+      // Sign flip in the integer domain (_mm512_xor_pd would pull in
+      // AVX512DQ, which dispatch does not probe for).
+      const __m512d neg = _mm512_castsi512_pd(
+          _mm512_xor_si512(_mm512_castpd_si512(pos), sign));
+      for (std::size_t g = 0; g < 8; ++g) {
+        const auto k = static_cast<__mmask8>(x >> (8 * g));
+        c[g] = _mm512_add_pd(c[g], _mm512_mask_blend_pd(k, neg, pos));
+      }
+    }
+    std::uint64_t word = 0;
+    std::uint64_t zeros = 0;
+    for (std::size_t g = 0; g < 8; ++g) {
+      const __mmask8 gt = _mm512_cmp_pd_mask(c[g], zero, _CMP_GT_OQ);
+      const __mmask8 eq = _mm512_cmp_pd_mask(c[g], zero, _CMP_EQ_OQ);
+      word |= static_cast<std::uint64_t>(gt) << (8 * g);
+      zeros |= static_cast<std::uint64_t>(eq) << (8 * g);
+    }
+    out_words[w] = word;
+    zero_masks[w] = zeros;
   }
 }
 
-std::uint64_t popcount_select_xor_avx512(const std::uint64_t* a,
-                                         const std::uint64_t* b,
-                                         const std::uint64_t* m,
-                                         const std::uint64_t* x,
-                                         std::uint64_t cond_flip,
-                                         std::size_t n) {
-  const __m512i cf = _mm512_set1_epi64(static_cast<long long>(cond_flip));
-  __m512i acc = _mm512_setzero_si512();
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m512i av = load512(a + i);
-    const __m512i bv = load512(b + i);
-    const __m512i mv = load512(m + i);
-    const __m512i cond =
-        _mm512_and_si512(_mm512_xor_si512(_mm512_xor_si512(av, bv), cf), mv);
-    const __m512i sel = _mm512_xor_si512(bv, cond);
-    acc = _mm512_add_epi64(
-        acc, _mm512_popcnt_epi64(_mm512_xor_si512(sel, load512(x + i))));
+// select_rotated's vector traits (see select_rotated.hpp).
+struct Avx512Vec {
+  using Vec = __m512i;
+  static constexpr std::size_t kWords = 8;
+  static Vec load(const std::uint64_t* p) { return load512(p); }
+  // The straddling vector: lanes [0, len) are the view's last len words,
+  // the rest its first words — one two-source permute of the entry's last
+  // and first full vectors.
+  static Vec load_wrapped(const std::uint64_t* words, std::size_t s,
+                          std::size_t n) {
+    const auto shift = static_cast<long long>(8 - (n - s));
+    const __m512i idx = _mm512_add_epi64(
+        _mm512_setr_epi64(0, 1, 2, 3, 4, 5, 6, 7), _mm512_set1_epi64(shift));
+    return _mm512_permutex2var_epi64(load512(words + n - 8), idx,
+                                     load512(words));
   }
-  std::uint64_t total = static_cast<std::uint64_t>(_mm512_reduce_add_epi64(acc));
-  for (; i < n; ++i) {
-    const std::uint64_t sel = b[i] ^ (((a[i] ^ b[i]) ^ cond_flip) & m[i]);
-    total += static_cast<std::uint64_t>(std::popcount(sel ^ x[i]));
+  static Vec splat(std::uint64_t x) {
+    return _mm512_set1_epi64(static_cast<long long>(x));
   }
-  return total;
-}
+  static Vec bxor(Vec a, Vec b) { return _mm512_xor_si512(a, b); }
+  // m ? p : q per bit (ternary-logic truth table 0xCA).
+  static Vec select(Vec m, Vec p, Vec q) {
+    return _mm512_ternarylogic_epi64(m, p, q, 0xCA);
+  }
+  static void store(std::uint64_t* p, Vec v) { store512(p, v); }
+  static Vec zero() { return _mm512_setzero_si512(); }
+  static Vec popcount_add(Vec acc, Vec v) {
+    return _mm512_add_epi64(acc, _mm512_popcnt_epi64(v));
+  }
+  static std::uint64_t reduce(Vec acc) {
+    alignas(64) std::uint64_t lanes[8];
+    store512(lanes, acc);
+    std::uint64_t total = 0;
+    for (const std::uint64_t l : lanes) total += l;
+    return total;
+  }
+};
 
 // Prefix/range variant: a hamming_block over the words [word_lo, word_hi),
 // run by this backend's own block kernel on offset pointers — bit-identity
@@ -291,8 +314,8 @@ const KernelTable& avx512_table() {
       &not_words_avx512,           &popcount_words_avx512,
       &hamming_words_avx512,       &hamming_block_avx512,
       &hamming_block_range_avx512, &add_xor_weighted_avx512,
-      &threshold_words_avx512,     &select_words_avx512,
-      &popcount_select_xor_avx512};
+      &threshold_words_avx512,     &bundle_words_avx512,
+      &select_rotated_simd<Avx512Vec>};
   return table;
 }
 

@@ -3,10 +3,11 @@
 // aarch64 base ISA, so this TU needs no extra target flags and "compiled"
 // implies "supported" (kernels.cpp::backend_supported).
 //
-// The float kernels (add_xor_weighted, threshold_words) intentionally keep
-// the scalar reference loops: at two doubles per vector the win is small,
-// and bit-identity stays true by construction on a target this repo's CI
-// cannot execute.
+// add_xor_weighted and threshold_words intentionally keep the scalar
+// reference loops: at two doubles per vector the win is small. bundle_words
+// keeps half a word of counters in registers; vnegq_f64 is an exact sign
+// flip and each counter sees one rounded add per slot, in slot order, so it
+// matches the scalar loop bit for bit.
 
 #if defined(HDFACE_KERNEL_NEON)
 
@@ -16,6 +17,7 @@
 #include <cstdint>
 
 #include "core/kernels/backends.hpp"
+#include "core/kernels/select_rotated.hpp"
 
 namespace hdface::core::kernels::detail {
 namespace {
@@ -158,48 +160,69 @@ std::size_t threshold_words_neon(const double* counts, std::size_t dim,
   return zeros;
 }
 
-void select_words_neon(const std::uint64_t* a, const std::uint64_t* b,
-                       const std::uint64_t* m, std::uint64_t cond_flip,
-                       std::uint64_t out_flip, std::uint64_t* dst,
-                       std::size_t n) {
-  const uint64x2_t cf = vdupq_n_u64(cond_flip);
-  const uint64x2_t of = vdupq_n_u64(out_flip);
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const uint64x2_t av = vld1q_u64(a + i);
-    const uint64x2_t bv = vld1q_u64(b + i);
-    const uint64x2_t mv = vld1q_u64(m + i);
-    const uint64x2_t cond = vandq_u64(veorq_u64(veorq_u64(av, bv), cf), mv);
-    vst1q_u64(dst + i, veorq_u64(veorq_u64(bv, cond), of));
-  }
-  for (; i < n; ++i) {
-    dst[i] = (b[i] ^ (((a[i] ^ b[i]) ^ cond_flip) & m[i])) ^ out_flip;
+void bundle_words_neon(const std::uint64_t* const* a,
+                       const std::uint64_t* const* b, const double* weights,
+                       std::size_t slots, std::size_t word_lo,
+                       std::size_t word_hi, std::uint64_t* out_words,
+                       std::uint64_t* zero_masks) {
+  const float64x2_t zero = vdupq_n_f64(0.0);
+  for (std::size_t w = word_lo; w < word_hi; ++w) {
+    std::uint64_t word = 0;
+    std::uint64_t zeros = 0;
+    // Half a word (32 counters, sixteen registers) per pass over the slots,
+    // so the counters stay in registers; each counter still sees its adds in
+    // slot order.
+    for (std::size_t half = 0; half < 64; half += 32) {
+      float64x2_t c[16];
+      for (auto& v : c) v = zero;
+      for (std::size_t s = 0; s < slots; ++s) {
+        const uint64x2_t x = vdupq_n_u64(a[s][w] ^ b[s][w]);
+        const float64x2_t pos = vdupq_n_f64(weights[s]);
+        const float64x2_t neg = vnegq_f64(pos);
+        for (std::size_t g = 0; g < 16; ++g) {
+          const std::size_t bit = half + 2 * g;
+          const uint64x2_t lanes = vcombine_u64(vcreate_u64(1ULL << bit),
+                                                vcreate_u64(1ULL << (bit + 1)));
+          const uint64x2_t pick = vtstq_u64(x, lanes);
+          c[g] = vaddq_f64(c[g], vbslq_f64(pick, pos, neg));
+        }
+      }
+      for (std::size_t g = 0; g < 16; ++g) {
+        const std::size_t bit = half + 2 * g;
+        const uint64x2_t gt = vcgtq_f64(c[g], zero);
+        const uint64x2_t eq = vceqq_f64(c[g], zero);
+        word |= (vgetq_lane_u64(gt, 0) & 1ULL) << bit;
+        word |= (vgetq_lane_u64(gt, 1) & 1ULL) << (bit + 1);
+        zeros |= (vgetq_lane_u64(eq, 0) & 1ULL) << bit;
+        zeros |= (vgetq_lane_u64(eq, 1) & 1ULL) << (bit + 1);
+      }
+    }
+    out_words[w] = word;
+    zero_masks[w] = zeros;
   }
 }
 
-std::uint64_t popcount_select_xor_neon(const std::uint64_t* a,
-                                       const std::uint64_t* b,
-                                       const std::uint64_t* m,
-                                       const std::uint64_t* x,
-                                       std::uint64_t cond_flip, std::size_t n) {
-  const uint64x2_t cf = vdupq_n_u64(cond_flip);
-  uint64x2_t acc = vdupq_n_u64(0);
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const uint64x2_t av = vld1q_u64(a + i);
-    const uint64x2_t bv = vld1q_u64(b + i);
-    const uint64x2_t mv = vld1q_u64(m + i);
-    const uint64x2_t cond = vandq_u64(veorq_u64(veorq_u64(av, bv), cf), mv);
-    const uint64x2_t sel = veorq_u64(bv, cond);
-    acc = vaddq_u64(acc, popcount_lanes(veorq_u64(sel, vld1q_u64(x + i))));
+// select_rotated's vector traits (see select_rotated.hpp).
+struct NeonVec {
+  using Vec = uint64x2_t;
+  static constexpr std::size_t kWords = 2;
+  static Vec load(const std::uint64_t* p) { return vld1q_u64(p); }
+  // The straddling vector of a two-word width is always the view's last
+  // word followed by its first.
+  static Vec load_wrapped(const std::uint64_t* words, std::size_t /*s*/,
+                          std::size_t n) {
+    return vcombine_u64(vld1_u64(words + n - 1), vld1_u64(words));
   }
-  std::uint64_t total = vaddvq_u64(acc);
-  for (; i < n; ++i) {
-    const std::uint64_t sel = b[i] ^ (((a[i] ^ b[i]) ^ cond_flip) & m[i]);
-    total += static_cast<std::uint64_t>(std::popcount(sel ^ x[i]));
+  static Vec splat(std::uint64_t x) { return vdupq_n_u64(x); }
+  static Vec bxor(Vec a, Vec b) { return veorq_u64(a, b); }
+  static Vec select(Vec m, Vec p, Vec q) { return vbslq_u64(m, p, q); }
+  static void store(std::uint64_t* p, Vec v) { vst1q_u64(p, v); }
+  static Vec zero() { return vdupq_n_u64(0); }
+  static Vec popcount_add(Vec acc, Vec v) {
+    return vaddq_u64(acc, popcount_lanes(v));
   }
-  return total;
-}
+  static std::uint64_t reduce(Vec acc) { return vaddvq_u64(acc); }
+};
 
 // Prefix/range variant: a hamming_block over the words [word_lo, word_hi),
 // run by this backend's own block kernel on offset pointers — bit-identity
@@ -221,8 +244,8 @@ const KernelTable& neon_table() {
       &not_words_neon,           &popcount_words_neon,
       &hamming_words_neon,       &hamming_block_neon,
       &hamming_block_range_neon, &add_xor_weighted_neon,
-      &threshold_words_neon,     &select_words_neon,
-      &popcount_select_xor_neon};
+      &threshold_words_neon,     &bundle_words_neon,
+      &select_rotated_simd<NeonVec>};
   return table;
 }
 

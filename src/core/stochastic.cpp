@@ -68,16 +68,16 @@ int StochasticContext::effective_search_iters() const {
 }
 
 Hypervector StochasticContext::bernoulli_mask(double p) {
-  // NaN survives std::clamp and would turn llround() into an out-of-bounds
-  // pool-bucket index — a silent wild read in the unchecked build.
+  // NaN survives std::clamp and would turn the bucket rounding into an
+  // out-of-bounds pool-bucket index — a silent wild read in the unchecked
+  // build.
   HD_CHECK(!std::isnan(p), "bernoulli_mask: NaN probability (upstream "
                            "arithmetic produced a poisoned value)");
   p = std::clamp(p, 0.0, 1.0);
   if (config_.mask_pool == 0) return fresh_mask(p);
   // Pool mode: quantize the probability to 8 bits, lazily fill the bucket's
   // pool, and pick a pool entry at random (one RNG draw, two word reads).
-  const auto bucket =
-      static_cast<std::size_t>(std::llround(p * 255.0));
+  const std::size_t bucket = pool_bucket(p);
   auto& masks = (*pool_)[bucket];
   if (masks.size() < config_.mask_pool) {
     // Fill the whole bucket on first use so op accounting is amortized.
@@ -109,26 +109,10 @@ Hypervector StochasticContext::bernoulli_mask(double p) {
   return entry.rotated(rng_.below(config_.dim));
 }
 
-StochasticContext::PooledMaskView StochasticContext::pooled_mask_view(
-    double p) {
-  if (!pooled_fast_path()) {
-    throw std::logic_error(
-        "pooled_mask_view: requires pool mode, a warmed pool, and dim % 64 "
-        "== 0 (check pooled_fast_path() first)");
-  }
-  // Mirror bernoulli_mask's pool path draw-for-draw: same NaN contract, same
-  // clamp/quantization, same counter charges, same two RNG draws (pool index
-  // then word rotation) — only the rotated copy is never materialized.
-  HD_CHECK(!std::isnan(p), "pooled_mask_view: NaN probability (upstream "
-                           "arithmetic produced a poisoned value)");
-  p = std::clamp(p, 0.0, 1.0);
-  const auto bucket = static_cast<std::size_t>(std::llround(p * 255.0));
-  const auto& masks = (*pool_)[bucket];
-  count(OpKind::kRngWord, 1);  // pool index + rotation draw
-  count(OpKind::kWordLogic, basis_.num_words());  // mask stream read
-  const Hypervector& entry = masks[rng_.below(masks.size())];
-  const std::size_t off = rng_.below(entry.num_words());
-  return PooledMaskView{entry.words().data(), off};
+void StochasticContext::throw_not_pooled() {
+  throw std::logic_error(
+      "pooled_mask_view: requires pool mode, a warmed pool, and dim % 64 == 0 "
+      "(check pooled_fast_path() first)");
 }
 
 Hypervector StochasticContext::fresh_mask(double p) {

@@ -23,13 +23,17 @@
 // representation — the standard stochastic-computing fix (see DESIGN.md §2 and
 // bench/ablation_stochastic).
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <vector>
 
 #include "core/hypervector.hpp"
+#include "core/kernels/kernels.hpp"
 #include "core/op_counter.hpp"
 #include "core/rng.hpp"
+#include "util/check.hpp"
 
 namespace hdface::core {
 
@@ -123,18 +127,28 @@ class StochasticContext {
   Hypervector bernoulli_mask(double p);
 
   // Borrowed view of a pooled Bernoulli mask: the pool entry's words plus
-  // the word-rotation offset bernoulli_mask(p) would have applied. Mask word
-  // i is words[(i + offset) % n] — callers (the batched cell encoder) apply
-  // the rotation as two contiguous kernel segments instead of materializing
-  // the rotated copy. pooled_mask_view(p) advances the RNG chain and charges
-  // the counter exactly like bernoulli_mask(p) in pool mode, so the two are
-  // interchangeable draw-for-draw. Only valid while the pool outlives the
+  // the word-rotation offset bernoulli_mask(p) would have applied, so mask
+  // word i is words[(i + offset) % n]. The batched cell encoder hands the
+  // view straight to the select_rotated kernel, which applies the rotation
+  // as an address offset; the rotated copy is never materialized.
+  // pooled_mask_view(p) advances the RNG chain and charges the counter
+  // exactly like bernoulli_mask(p) in pool mode — same NaN contract, same
+  // clamp and bucket, same two draws (pool index, then rotation) — so the
+  // two are interchangeable draw-for-draw. Inline because the encoder draws
+  // about thirty masks per pixel. Only valid while the pool outlives the
   // view; requires pooled_fast_path() (throws std::logic_error otherwise).
-  struct PooledMaskView {
-    const std::uint64_t* words = nullptr;
-    std::size_t offset = 0;
-  };
-  PooledMaskView pooled_mask_view(double p);
+  kernels::WordView pooled_mask_view(double p) {
+    if (!pooled_fast_path()) throw_not_pooled();
+    HD_CHECK(!std::isnan(p), "pooled_mask_view: NaN probability (upstream "
+                             "arithmetic produced a poisoned value)");
+    const std::size_t bucket = pool_bucket(p);
+    const auto& masks = (*pool_)[bucket];
+    count(OpKind::kRngWord, 1);  // pool index + rotation draw
+    count(OpKind::kWordLogic, basis_.num_words());  // mask stream read
+    const Hypervector& entry = masks[rng_.below(masks.size())];
+    const std::size_t off = rng_.below(entry.num_words());
+    return kernels::WordView{entry.words().data(), off};
+  }
 
   // True when pooled_mask_view can stand in for bernoulli_mask: pool mode
   // enabled and warmed (so the draw is a pure pool lookup, never a lazy
@@ -202,6 +216,17 @@ class StochasticContext {
   }
   double default_eps() const;
   Hypervector fresh_mask(double p);
+  [[noreturn]] static void throw_not_pooled();
+
+  // Pool bucket of a probability: p clamped to [0, 1] and rounded to the
+  // nearest 255th, halves up. For x = p·255 ∈ [0, 255] the difference
+  // x − trunc(x) is exact, so this picks std::llround(x)'s bucket for every
+  // p without the library call.
+  static std::size_t pool_bucket(double p) {
+    const double x = std::clamp(p, 0.0, 1.0) * 255.0;
+    const auto t = static_cast<std::size_t>(x);
+    return x - static_cast<double>(t) >= 0.5 ? t + 1 : t;
+  }
 
   StochasticConfig config_;
   Rng rng_;

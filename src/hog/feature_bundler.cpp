@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
 
 #include "core/kernels/kernels.hpp"
@@ -39,45 +40,29 @@ core::Hypervector FeatureBundler::bundle_weighted(
     const std::vector<core::Hypervector>& slot_values,
     const std::vector<double>& weights, double min_weight,
     core::OpCounter* counter) const {
-  if (slot_values.size() != keys_.size() || weights.size() != keys_.size()) {
-    throw std::invalid_argument("FeatureBundler: slot count mismatch");
-  }
-  core::Accumulator acc(keys_.front().dim());
-  acc.set_counter(counter);
-  for (std::size_t i = 0; i < keys_.size(); ++i) {
-    if (std::abs(weights[i]) < min_weight) continue;
-    if (counter) counter->add(core::OpKind::kWordLogic, keys_[i].num_words());
-    acc.add(keys_[i] ^ slot_values[i], weights[i]);
-  }
-  core::Rng tie_rng(tie_seed_);
-  return acc.threshold(tie_rng);
+  std::vector<const core::Hypervector*> refs;
+  refs.reserve(slot_values.size());
+  for (const core::Hypervector& v : slot_values) refs.push_back(&v);
+  return bundle_weighted_refs(refs, weights, min_weight, counter);
 }
 
 core::Hypervector FeatureBundler::bundle_weighted_refs(
     const std::vector<const core::Hypervector*>& slot_values,
     const std::vector<double>& weights, double min_weight,
     core::OpCounter* counter) const {
-  if (slot_values.size() != keys_.size() || weights.size() != keys_.size()) {
-    throw std::invalid_argument("FeatureBundler: slot count mismatch");
-  }
-  core::Accumulator acc(keys_.front().dim());
-  acc.set_counter(counter);
-  for (std::size_t i = 0; i < keys_.size(); ++i) {
-    if (std::abs(weights[i]) < min_weight) continue;
-    // add_xor counts the binding XOR itself (same totals as the allocating
-    // path: kWordLogic per word + kIntAdd per dimension).
-    acc.add_xor(keys_[i], *slot_values[i], weights[i]);
-  }
+  core::Hypervector out(dim());
   core::Rng tie_rng(tie_seed_);
-  return acc.threshold(tie_rng);
+  RangeScratch scratch;
+  bundle_weighted_refs_range(slot_values, weights, min_weight, 0,
+                             out.num_words(), tie_rng, scratch, out, counter);
+  return out;
 }
 
 void FeatureBundler::bundle_weighted_refs_range(
     const std::vector<const core::Hypervector*>& slot_values,
     const std::vector<double>& weights, double min_weight, std::size_t word_lo,
-    std::size_t word_hi, core::Rng& tie_rng,
-    std::vector<double>& counts_scratch, core::Hypervector& out,
-    core::OpCounter* counter) const {
+    std::size_t word_hi, core::Rng& tie_rng, RangeScratch& scratch,
+    core::Hypervector& out, core::OpCounter* counter) const {
   if (slot_values.size() != keys_.size() || weights.size() != keys_.size()) {
     throw std::invalid_argument("FeatureBundler: slot count mismatch");
   }
@@ -89,35 +74,46 @@ void FeatureBundler::bundle_weighted_refs_range(
   if (word_lo >= word_hi || word_hi > words) {
     throw std::invalid_argument("FeatureBundler: word range out of bounds");
   }
-  const std::size_t dim_lo = word_lo * 64;
-  const std::size_t dim_hi = std::min(d, word_hi * 64);
-  const std::size_t range_dims = dim_hi - dim_lo;
-  counts_scratch.assign(range_dims, 0.0);
-  const auto& kt = core::kernels::active();
+  scratch.slot_words.clear();
+  scratch.key_words.clear();
+  scratch.weights.clear();
   for (std::size_t i = 0; i < keys_.size(); ++i) {
     if (std::abs(weights[i]) < min_weight) continue;
-    // Same per-dimension adds in the same order as add_xor over the full
-    // vectors — each count sees one rounded ±weight add per kept slot, so the
-    // range's counts (and therefore its thresholded bits) match the full
-    // bundle's exactly.
-    kt.add_xor_weighted(slot_values[i]->words().data() + word_lo,
-                        keys_[i].words().data() + word_lo, range_dims,
-                        weights[i], counts_scratch.data());
-    if (counter) {
-      counter->add(core::OpKind::kWordLogic, word_hi - word_lo);
-      counter->add(core::OpKind::kIntAdd, range_dims);
+    if (slot_values[i]->dim() != d) {
+      throw std::invalid_argument("FeatureBundler: slot dimensionality mismatch");
     }
+    scratch.slot_words.push_back(slot_values[i]->words().data());
+    scratch.key_words.push_back(keys_[i].words().data());
+    scratch.weights.push_back(weights[i]);
   }
-  const std::size_t zeros = kt.threshold_words(
-      counts_scratch.data(), range_dims, out.mutable_words().data() + word_lo);
-  if (zeros != 0) {
-    // Scalar tie-break with the caller's Rng: ascending dimension order over
-    // exact zeros, exactly the draws Accumulator::threshold would burn for
-    // these dimensions inside a full-vector bundle.
-    for (std::size_t i = 0; i < range_dims; ++i) {
-      if (counts_scratch[i] == 0.0 && (tie_rng.next() & 1ULL)) {
-        out.set(dim_lo + i, true);
-      }
+  const std::size_t kept = scratch.weights.size();
+  const std::size_t dim_lo = word_lo * 64;
+  const std::size_t dim_hi = std::min(d, word_hi * 64);
+  if (counter) {
+    // The binding XOR per word and one ±weight add per dimension, per kept
+    // slot.
+    counter->add(core::OpKind::kWordLogic, kept * (word_hi - word_lo));
+    counter->add(core::OpKind::kIntAdd, kept * (dim_hi - dim_lo));
+  }
+  scratch.zero_masks.resize(words);
+  std::uint64_t* out_words = out.mutable_words().data();
+  core::kernels::active().bundle_words(
+      scratch.slot_words.data(), scratch.key_words.data(),
+      scratch.weights.data(), kept, word_lo, word_hi, out_words,
+      scratch.zero_masks.data());
+  // Bits past dim come out of the kernel as computed from the zero tail;
+  // they stay zero and draw no tie.
+  if (word_hi * 64 > d) {
+    const std::uint64_t tail = (1ULL << (d % 64)) - 1;
+    out_words[word_hi - 1] &= tail;
+    scratch.zero_masks[word_hi - 1] &= tail;
+  }
+  // Scalar tie-break with the caller's Rng: ascending dimension order over
+  // exact zeros, exactly the draws Accumulator::threshold would burn for
+  // these dimensions inside a full-vector bundle.
+  for (std::size_t w = word_lo; w < word_hi; ++w) {
+    for (std::uint64_t z = scratch.zero_masks[w]; z != 0; z &= z - 1) {
+      if (tie_rng.next() & 1ULL) out_words[w] |= z & (~z + 1);
     }
   }
 }

@@ -18,9 +18,9 @@
 // the capacity limit at fixed D — see bench/ablation_stochastic). Weighted
 // sparse bundling is what the end-to-end pipeline uses.
 
+#include <cstdint>
 #include <vector>
 
-#include "core/accumulator.hpp"
 #include "core/hypervector.hpp"
 #include "core/stochastic.hpp"
 
@@ -49,11 +49,11 @@ class FeatureBundler {
       core::OpCounter* counter = nullptr) const;
 
   // Borrowed-slot variant with bit-identical output: slot hypervectors are
-  // passed by pointer (typically straight into a stored level item memory)
-  // and the key binding runs through Accumulator::add_xor, so no per-slot
-  // hypervector is allocated. This is the window-assembly hot path of the
-  // cell-plane encode cache, where the per-window cost must stay at "cheap
-  // tail" scale (see hog/cell_plane.hpp).
+  // passed by pointer (typically straight into a stored level item memory),
+  // so no per-slot hypervector is allocated. This is the window-assembly hot
+  // path of the cell-plane encode cache, where the per-window cost must stay
+  // at "cheap tail" scale (see hog/cell_plane.hpp). It is the range call
+  // below over every word with a fresh tie stream.
   core::Hypervector bundle_weighted_refs(
       const std::vector<const core::Hypervector*>& slot_values,
       const std::vector<double>& weights, double min_weight = 0.02,
@@ -67,23 +67,34 @@ class FeatureBundler {
   // this seed per window reproduces bundle_weighted_refs' draws exactly.
   std::uint64_t tie_seed() const { return tie_seed_; }
 
-  // Staged (word-range) variant of bundle_weighted_refs for the early-reject
-  // cascade: accumulates and thresholds ONLY the dimensions of words
-  // [word_lo, word_hi), writing them into `out` and leaving every other word
-  // of `out` untouched. Majority bundling is per-dimension independent and
-  // the tie-break draws run in ascending dimension order over exact zeros, so
-  // tiling [0, num_words) with ascending calls sharing one `tie_rng` freshly
-  // seeded from tie_seed() yields an `out` bit-identical to
-  // bundle_weighted_refs — that is what lets a cascade finish a rejected
-  // window's feature prefix-only yet keep survivors exact. `counts_scratch`
-  // is caller-owned scratch (resized here; reuse it across windows). Charges
-  // the exact range share of the full bundle's op totals. Throws
-  // std::invalid_argument on slot/geometry mismatch or an invalid range.
+  // Caller-owned scratch of bundle_weighted_refs_range: the kept slots'
+  // word pointers and weights, and the per-word exact-zero masks. Reuse one
+  // across windows.
+  struct RangeScratch {
+    std::vector<const std::uint64_t*> slot_words;
+    std::vector<const std::uint64_t*> key_words;
+    std::vector<double> weights;
+    std::vector<std::uint64_t> zero_masks;
+  };
+
+  // Staged (word-range) bundling for the early-reject cascade: accumulates
+  // and thresholds ONLY the dimensions of words [word_lo, word_hi), writing
+  // them into `out` and leaving every other word of `out` untouched. Each
+  // word's 64 counters are summed in registers over the kept slots in slot
+  // order (kernels::bundle_words — the same IEEE adds as
+  // Accumulator::add_xor), and the tie-break draws run in ascending
+  // dimension order over exact zeros, so tiling [0, num_words) with
+  // ascending calls sharing one `tie_rng` freshly seeded from tie_seed()
+  // yields an `out` bit-identical to one call over every word — that is
+  // what lets a cascade finish a rejected window's feature prefix-only yet
+  // keep survivors exact. Charges the exact range share of the full
+  // bundle's op totals. Throws std::invalid_argument on slot/geometry
+  // mismatch or an invalid range.
   void bundle_weighted_refs_range(
       const std::vector<const core::Hypervector*>& slot_values,
       const std::vector<double>& weights, double min_weight,
       std::size_t word_lo, std::size_t word_hi, core::Rng& tie_rng,
-      std::vector<double>& counts_scratch, core::Hypervector& out,
+      RangeScratch& scratch, core::Hypervector& out,
       core::OpCounter* counter = nullptr) const;
 
  private:

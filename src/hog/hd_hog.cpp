@@ -8,56 +8,6 @@
 
 namespace hdface::hog {
 
-namespace {
-
-using MaskView = core::StochasticContext::PooledMaskView;
-
-// Pooled masks are stored unrotated; mask word i is m.words[(i + off) % n].
-// These helpers apply a kernel across the two contiguous segments of that
-// rotation — [0, n−off) reads m.words+off, [n−off, n) wraps to m.words —
-// so the rotated mask is never materialized. off == 0 degenerates to one
-// full-length call.
-
-// dst[i] = a[i] ^ mask[i]; dst may alias a.
-inline void xor_rot(const core::kernels::KernelTable& kt,
-                    const std::uint64_t* a, const MaskView& m,
-                    std::uint64_t* dst, std::size_t n) {
-  const std::size_t head = n - m.offset;
-  kt.xor_words(a, m.words + m.offset, dst, head);
-  if (m.offset != 0) kt.xor_words(a + head, m.words, dst + head, m.offset);
-}
-
-// dst = select_words(a, b, mask, cond_flip, out_flip); dst may alias a/b.
-inline void select_rot(const core::kernels::KernelTable& kt,
-                       const std::uint64_t* a, const std::uint64_t* b,
-                       const MaskView& m, std::uint64_t cond_flip,
-                       std::uint64_t out_flip, std::uint64_t* dst,
-                       std::size_t n) {
-  const std::size_t head = n - m.offset;
-  kt.select_words(a, b, m.words + m.offset, cond_flip, out_flip, dst, head);
-  if (m.offset != 0) {
-    kt.select_words(a + head, b + head, m.words, cond_flip, out_flip,
-                    dst + head, m.offset);
-  }
-}
-
-// Σ popcount(select_words(a, b, mask, cond_flip, 0)[i] ^ x[i]).
-inline std::uint64_t popsel_rot(const core::kernels::KernelTable& kt,
-                                const std::uint64_t* a, const std::uint64_t* b,
-                                const MaskView& m, const std::uint64_t* x,
-                                std::uint64_t cond_flip, std::size_t n) {
-  const std::size_t head = n - m.offset;
-  std::uint64_t total =
-      kt.popcount_select_xor(a, b, m.words + m.offset, x, cond_flip, head);
-  if (m.offset != 0) {
-    total += kt.popcount_select_xor(a + head, b + head, m.words, x + head,
-                                    cond_flip, m.offset);
-  }
-  return total;
-}
-
-}  // namespace
-
 HdHogExtractor::HdHogExtractor(core::StochasticContext& ctx,
                                const HdHogConfig& config, std::size_t image_width,
                                std::size_t image_height)
@@ -252,18 +202,23 @@ void HdHogExtractor::cell_raw_values_fused(const image::Image& img,
                                            std::size_t x0, std::size_t y0,
                                            core::StochasticContext& ctx,
                                            double* out) const {
-  // Every stochastic op of the reference chain reduced to its word-kernel
-  // core, with the algebraic folds the packed representation admits:
+  // Every stochastic op of the reference chain is one pass of the
+  // dispatched select_rotated kernel. The working vectors are kept XORed
+  // with the basis (u = v ^ V₁, so decode(v) = 1 − 2·popcount(u)/D), which
+  // turns each op into a select between two XOR pairs under a pooled mask:
   //
-  //   add_halved(a, ~b)        = select_words(a, b, m, ~0, ~0)
-  //   multiply(c_j, v)         = (c_j ^ V₁) ^ v        (precomputed cjb)
-  //   square(v)                = v ^ rot(mask)          (basis cancels)
-  //   compare / scale+decode   = popcount_select_xor against V₁
+  //   add_halved(a, ~b) ^ V₁   = M ? a ^ V₁ : ~b ^ V₁
+  //   square(v) ^ V₁           = u ^ R            (R: the regeneration mask;
+  //                                                the basis cancels)
+  //   construct(m) ^ V₁        = R
+  //   compare / scale + decode = popcount of the select itself
   //
+  // and every mask is passed as its pool entry plus rotation offset.
   // Draw-for-draw parity with the reference chain is the correctness
   // contract: each pooled_mask_view below stands where the reference draws
   // its bernoulli_mask, in the same order with the same probability, so the
   // RNG stream — and therefore every output double — is bit-identical.
+  using View = core::kernels::WordView;
   const auto& kt = core::kernels::active();
   const std::size_t bins = config_.hog.bins;
   const std::size_t cell = config_.hog.cell_size;
@@ -271,128 +226,100 @@ void HdHogExtractor::cell_raw_values_fused(const image::Image& img,
   const std::size_t n = ctx.basis().num_words();
   const double dimd = static_cast<double>(ctx.dim());
   const double eps = 2.0 / std::sqrt(dimd);
-  const std::uint64_t* basis = ctx.basis().words().data();
+  const View basis{ctx.basis().words().data()};
   const int iters = ctx.effective_search_iters();
+  const auto decode = [dimd](std::uint64_t h) {
+    return 1.0 - 2.0 * static_cast<double>(h) / dimd;
+  };
 
-  // Flat word workspace: gradient pair, boundary-multiply scratch, the sqrt
-  // iterate and its square, and the readout zero vector.
-  std::vector<std::uint64_t> ws(6 * n);
+  // Flat word workspace: the gradient pair and the squared magnitude (all
+  // basis-XORed), plus a sink for passes that only need the popcount.
+  std::vector<std::uint64_t> ws(4 * n);
   std::uint64_t* gx = ws.data();
   std::uint64_t* gy = gx + n;
-  std::uint64_t* tmp = gy + n;
-  std::uint64_t* mid = tmp + n;
-  std::uint64_t* msq = mid + n;
-  std::uint64_t* zbuf = msq + n;
-  std::vector<std::uint64_t> bin_mean(bins * n);
+  std::uint64_t* m2 = gy + n;
+  std::uint64_t* sink = m2 + n;
+  std::vector<std::uint64_t> bin_mean(bins * n);  // basis-XORed
   std::vector<std::size_t> bin_count(bins, 0);
   std::vector<bool> greater(boundary_consts_.size());
 
   const auto pix = [&](std::ptrdiff_t x, std::ptrdiff_t y) {
     if (levels != nullptr) {
-      return item_memory_.level(levels->at_clamped(x, y)).words().data();
+      return View{item_memory_.level(levels->at_clamped(x, y)).words().data()};
     }
-    return item_memory_.at_value(static_cast<double>(img.at_clamped(x, y)))
-        .words()
-        .data();
+    return View{item_memory_.at_value(static_cast<double>(img.at_clamped(x, y)))
+                    .words()
+                    .data()};
   };
 
   for (std::size_t py = 0; py < cell; ++py) {
     for (std::size_t px = 0; px < cell; ++px) {
       const auto xi = static_cast<std::ptrdiff_t>(x0 + px);
       const auto yi = static_cast<std::ptrdiff_t>(y0 + py);
-      // Gradient: V_G = A ⊕ (−B); the operand/result complements of the
-      // halved difference fold into the select flips.
-      {
-        const auto m = ctx.pooled_mask_view(0.5);
-        select_rot(kt, pix(xi + 1, yi), pix(xi - 1, yi), m, ~0ULL, ~0ULL, gx,
-                   n);
-      }
-      {
-        const auto m = ctx.pooled_mask_view(0.5);
-        select_rot(kt, pix(xi, yi + 1), pix(xi, yi - 1), m, ~0ULL, ~0ULL, gy,
-                   n);
-      }
+      // Gradient V_G = A ⊕ (−B); the pass's popcount is the sign decode.
+      const double dgx = decode(kt.select_rotated(
+          {.p1 = pix(xi + 1, yi), .p2 = basis, .q1 = pix(xi - 1, yi),
+           .q2 = basis, .q_flip = ~0ULL, .m = ctx.pooled_mask_view(0.5)},
+          gx, n));
+      const double dgy = decode(kt.select_rotated(
+          {.p1 = pix(xi, yi + 1), .p2 = basis, .q1 = pix(xi, yi - 1),
+           .q2 = basis, .q_flip = ~0ULL, .m = ctx.pooled_mask_view(0.5)},
+          gy, n));
 
-      // Orientation bin: signs from the (draw-free) decode, then one fused
-      // compare per interior boundary.
-      const double dgx =
-          1.0 - 2.0 * static_cast<double>(kt.hamming_words(gx, basis, n)) /
-                    dimd;
-      const double dgy =
-          1.0 - 2.0 * static_cast<double>(kt.hamming_words(gy, basis, n)) /
-                    dimd;
+      // Orientation bin: quadrant from the signs, then one fused compare per
+      // interior boundary.
       const int sgx = dgx < -eps ? -1 : 1;
       const int sgy = dgy < -eps ? -1 : 1;
       const std::size_t q = AngleBinner::quadrant(sgx, sgy);
       const bool gy_over = AngleBinner::ratio_is_gy_over_gx(q);
       const std::uint64_t fgx = sgx < 0 ? ~0ULL : 0ULL;
       const std::uint64_t fgy = sgy < 0 ? ~0ULL : 0ULL;
-      const std::uint64_t* num = gy_over ? gy : gx;
-      const std::uint64_t* den = gy_over ? gx : gy;
+      const View num{gy_over ? gy : gx};
+      const View den{gy_over ? gx : gy};
       const std::uint64_t fnum = gy_over ? fgy : fgx;
       const std::uint64_t fden = gy_over ? fgx : fgy;
       for (std::size_t j = 0; j < boundary_consts_.size(); ++j) {
-        const std::uint64_t* cjb = boundary_consts_xor_basis_[j].words().data();
-        const std::uint64_t* lhs;
-        const std::uint64_t* rhs;
-        if (boundary_uses_cot_[j]) {
-          kt.xor_words(cjb, num, tmp, n);
-          lhs = tmp;
-          rhs = den;
-        } else {
-          kt.xor_words(cjb, den, tmp, n);
-          lhs = num;
-          rhs = tmp;
-        }
-        // compare(L ⊕ fL, R ⊕ fR): the ~rhs of the halved difference gives
-        // g = fR ^ ~0; a result flip of ~0 inverts every popcount word
-        // (H = 64n − P), exact because dim % 64 == 0 on this path.
-        const std::uint64_t g = fden ^ ~0ULL;
-        const std::uint64_t cf = fnum ^ g;
-        const auto m = ctx.pooled_mask_view(0.5);
-        const std::uint64_t p = popsel_rot(kt, lhs, rhs, m, basis, cf, n);
-        const std::uint64_t h = g == ~0ULL ? 64 * n - p : p;
-        const double d = 1.0 - 2.0 * static_cast<double>(h) / dimd;
+        // compare(L, R) decodes add_halved(L, ~R) = M ? L : ~R with
+        // L, R the |num|, |den| operands and c_j ⊗ v = (c_j ^ V₁) ^ v on the
+        // multiplied side: the basis-XORed arms are num ^ fnum and
+        // den ^ ~fden, with c_j ^ V₁ folded into one of them.
+        const View cjb{boundary_consts_xor_basis_[j].words().data()};
+        const View none{};
+        const bool cot = boundary_uses_cot_[j];
+        const double d = decode(kt.select_rotated(
+            {.p1 = num, .p2 = cot ? cjb : none, .p_flip = fnum, .q1 = den,
+             .q2 = cot ? none : cjb, .q_flip = ~fden,
+             .m = ctx.pooled_mask_view(0.5)},
+            sink, n));
         greater[j] = d > eps / 2.0;
       }
       const std::size_t bin =
           binner_.global_bin(q, binner_.local_bin_from_comparisons(greater));
 
-      // Magnitude: squares in place (multiply-by-regeneration is an XOR with
-      // the construction mask — the basis cancels; gy first, matching the
-      // reference chain's pinned order), halved sum into gx, then the
-      // binary-search sqrt.
+      // Magnitude: the two squares (gy first, matching the reference chain's
+      // pinned order) and their halved sum in one pass.
       {
-        const auto m = ctx.pooled_mask_view((1.0 - dgy) / 2.0);
-        xor_rot(kt, gy, m, gy, n);
+        const View ry = ctx.pooled_mask_view((1.0 - dgy) / 2.0);
+        const View rx = ctx.pooled_mask_view((1.0 - dgx) / 2.0);
+        kt.select_rotated({.p1 = View{gx}, .p2 = rx, .q1 = View{gy}, .q2 = ry,
+                           .m = ctx.pooled_mask_view(0.5)},
+                          m2, n);
       }
-      {
-        const auto m = ctx.pooled_mask_view((1.0 - dgx) / 2.0);
-        xor_rot(kt, gx, m, gx, n);
-      }
-      {
-        const auto m = ctx.pooled_mask_view(0.5);
-        select_rot(kt, gx, gy, m, 0, 0, gx, n);
-      }
-      // sqrt's pre-loop construct(0.5) is overwritten on the first iteration
-      // but still advances the stream.
-      (void)ctx.pooled_mask_view(0.25);
+      // Binary-search sqrt. Each step compares mid² = construct(m) ⊗
+      // construct(m) against m2, i.e. decodes M ? R₁ ^ R₂ : ~m2; the
+      // pre-loop construct(0.5) is overwritten by the first step but still
+      // advances the stream, and mid ^ V₁ = R₁ of the last step that ran.
+      View mid = ctx.pooled_mask_view(0.25);
       double lo = 0.0;
       double hi = 1.0;
       for (int it = 0; it < iters; ++it) {
         const double mval = (lo + hi) / 2.0;
-        {
-          const auto m = ctx.pooled_mask_view((1.0 - mval) / 2.0);
-          xor_rot(kt, basis, m, mid, n);
-        }
-        {
-          const auto m = ctx.pooled_mask_view((1.0 - mval) / 2.0);
-          xor_rot(kt, mid, m, msq, n);
-        }
-        const auto m = ctx.pooled_mask_view(0.5);
-        const std::uint64_t p = popsel_rot(kt, msq, gx, m, basis, ~0ULL, n);
-        const std::uint64_t h = 64 * n - p;
-        const double d = 1.0 - 2.0 * static_cast<double>(h) / dimd;
+        mid = ctx.pooled_mask_view((1.0 - mval) / 2.0);
+        const View r2 = ctx.pooled_mask_view((1.0 - mval) / 2.0);
+        const double d = decode(kt.select_rotated(
+            {.p1 = mid, .p2 = r2, .q1 = View{m2}, .q_flip = ~0ULL,
+             .m = ctx.pooled_mask_view(0.5)},
+            sink, n));
         const int c = d > eps / 2.0 ? 1 : (d < -eps / 2.0 ? -1 : 0);
         if (c > 0) {
           hi = mval;
@@ -403,22 +330,26 @@ void HdHogExtractor::cell_raw_values_fused(const image::Image& img,
         }
       }
 
-      // Running stochastic mean of the magnitudes matched to this bin.
+      // Running stochastic mean of the magnitudes matched to this bin:
+      // mean = M ? mean : mid, or mid itself for the bin's first pixel (a
+      // select with mid on both arms is the rotated copy).
       std::uint64_t* mean = bin_mean.data() + bin * n;
       auto& cnt = bin_count[bin];
       if (cnt == 0) {
-        std::copy(mid, mid + n, mean);
+        kt.select_rotated({.p1 = mid, .q1 = mid, .m = mid}, mean, n);
       } else {
         const double keep =
             static_cast<double>(cnt) / static_cast<double>(cnt + 1);
-        const auto m = ctx.pooled_mask_view(keep);
-        select_rot(kt, mean, mid, m, 0, 0, mean, n);
+        kt.select_rotated(
+            {.p1 = View{mean}, .q1 = mid, .m = ctx.pooled_mask_view(keep)},
+            mean, n);
       }
       ++cnt;
     }
   }
 
-  // Readout: scale-by-rate (average with a fresh zero) fused with the decode.
+  // Readout: scale-by-rate (average with a fresh zero, whose basis-XORed
+  // form is its mask) fused with the decode.
   for (std::size_t b = 0; b < bins; ++b) {
     if (bin_count[b] == 0) {
       out[b] = 0.0;
@@ -426,14 +357,11 @@ void HdHogExtractor::cell_raw_values_fused(const image::Image& img,
     }
     const double rate = static_cast<double>(bin_count[b]) /
                         static_cast<double>(pixels_per_cell);
-    {
-      const auto mz = ctx.pooled_mask_view(0.5);
-      xor_rot(kt, basis, mz, zbuf, n);
-    }
-    const auto ms = ctx.pooled_mask_view(rate);
-    const std::uint64_t p =
-        popsel_rot(kt, bin_mean.data() + b * n, zbuf, ms, basis, 0, n);
-    out[b] = 1.0 - 2.0 * static_cast<double>(p) / dimd;
+    const View zero = ctx.pooled_mask_view(0.5);
+    out[b] = decode(kt.select_rotated(
+        {.p1 = View{bin_mean.data() + b * n}, .q1 = zero,
+         .m = ctx.pooled_mask_view(rate)},
+        sink, n));
   }
 }
 
@@ -612,10 +540,10 @@ core::Hypervector HdHogExtractor::extract_from_plane(
     const CellPlane& plane, std::size_t origin_x, std::size_t origin_y,
     core::OpCounter* counter) const {
   // Same validation and values as slot_record_from_plane + bundle_weighted,
-  // but allocation-free: slot hypervectors stay inside histogram_memory_ and
-  // key binding runs through Accumulator::add_xor. Per-window cost is what
-  // makes the cell-plane cache pay off, so this path must stay at "cheap
-  // tail" scale. Output is bit-identical to the record-based form.
+  // but allocation-light: slot hypervectors stay inside histogram_memory_
+  // and are bundled by pointer. Per-window cost is what makes the
+  // cell-plane cache pay off, so this path must stay at "cheap tail" scale.
+  // Output is bit-identical to the record-based form.
   std::vector<const core::Hypervector*> hvs;
   std::vector<double> values;
   gather_plane_slots(plane, origin_x, origin_y, hvs, values);
@@ -653,7 +581,7 @@ const core::Hypervector& HdHogExtractor::StagedWindow::assemble_to(
   }
   extractor_.bundler_.bundle_weighted_refs_range(
       hvs_, values_, extractor_.config_.histogram_floor, assembled_words_,
-      word_hi, tie_rng_, counts_, feature_, counter);
+      word_hi, tie_rng_, scratch_, feature_, counter);
   assembled_words_ = word_hi;
   return feature_;
 }

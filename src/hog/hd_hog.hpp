@@ -111,13 +111,13 @@ class HdHogExtractor {
   // Batched form of cell_raw_values: same RNG stream, same doubles, chosen
   // per call between two bit-identical implementations.
   //
-  //   * The fused kernel path collapses every per-pixel stochastic op into
-  //     one or two passes of the dispatched word kernels (select_words /
-  //     popcount_select_xor with the pooled-mask rotation applied as two
-  //     contiguous segments), allocating a handful of flat word buffers per
-  //     cell instead of hundreds of Hypervector temporaries. It requires the
-  //     faithful mode, no attached op counter (charges live on the reference
-  //     chain), and ctx.pooled_fast_path().
+  //   * The fused kernel path runs every per-pixel stochastic op as one
+  //     pass of the dispatched select_rotated kernel, each pooled mask read
+  //     in place through its rotation offset, so a pixel is about a dozen
+  //     kernel calls over a few flat word buffers per cell instead of
+  //     hundreds of Hypervector temporaries. It requires the faithful mode,
+  //     no attached op counter (charges live on the reference chain), and
+  //     ctx.pooled_fast_path().
   //   * Otherwise the reference per-pixel chain runs (also when
   //     `force_reference` is set — micro_ops' baseline timing and the
   //     fused-kernel identity test's oracle).
@@ -209,7 +209,7 @@ class HdHogExtractor {
     const HdHogExtractor& extractor_;
     std::vector<const core::Hypervector*> hvs_;
     std::vector<double> values_;
-    std::vector<double> counts_;  // bundle scratch, reused across ranges
+    FeatureBundler::RangeScratch scratch_;  // reused across ranges
     core::Rng tie_rng_;
     core::Hypervector feature_;
     std::size_t assembled_words_ = 0;

@@ -8,7 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "core/accumulator.hpp"
@@ -248,6 +250,198 @@ TEST(Kernels, ThresholdWordsMatchesScalarIncludingZeroCount) {
       const std::size_t zg = t->threshold_words(counts.data(), dim, got.data());
       EXPECT_EQ(zw, zg) << kernels::backend_name(t->backend) << " dim=" << dim;
       EXPECT_EQ(want, got) << kernels::backend_name(t->backend) << " dim=" << dim;
+    }
+  }
+}
+
+// --- select_rotated ----------------------------------------------------------
+
+namespace {
+
+// Word counts for the rotated select: multiples of every vector width (the
+// whole-vector path, including n == the AVX-512 width) plus 9 and 17, which
+// every SIMD backend hands to the scalar loop.
+const std::size_t kRotatedWordCounts[] = {8, 16, 64, 9, 17};
+
+// The definition select_rotated implements: word i of a view is
+// words[(i + offset) % n], and null words read as zero.
+std::uint64_t view_word(const kernels::WordView& v, std::size_t i,
+                        std::size_t n) {
+  return v.words == nullptr ? 0 : v.words[(i + v.offset) % n];
+}
+
+std::uint64_t select_by_definition(const kernels::SelectOperands& op,
+                                   std::vector<std::uint64_t>& out,
+                                   std::size_t n) {
+  std::uint64_t total = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint64_t p =
+        view_word(op.p1, i, n) ^ view_word(op.p2, i, n) ^ op.p_flip;
+    const std::uint64_t q =
+        view_word(op.q1, i, n) ^ view_word(op.q2, i, n) ^ op.q_flip;
+    const std::uint64_t m = view_word(op.m, i, n);
+    out[i] = (p & m) | (q & ~m);
+    total += static_cast<std::uint64_t>(std::popcount(out[i]));
+  }
+  return total;
+}
+
+}  // namespace
+
+TEST(Kernels, SelectRotatedMatchesDefinitionOnAllBackends) {
+  // Every view offset in [0, n) (each view walks the offsets at its own
+  // stride, so every view meets every offset, straddling or not), both flip
+  // values, and every p2/q2 presence, on every usable backend. The scalar
+  // reference is itself checked against the % n definition.
+  Rng rng(0xBEEF0A);
+  for (const std::size_t n : kRotatedWordCounts) {
+    const auto a = random_words(n, rng);
+    const auto b = random_words(n, rng);
+    const auto c = random_words(n, rng);
+    const auto d = random_words(n, rng);
+    const auto e = random_words(n, rng);
+    for (const kernels::KernelTable* t : usable_backends()) {
+      for (std::size_t k = 0; k < n; ++k) {
+        for (const std::uint64_t flip : {0ULL, ~0ULL}) {
+          for (std::size_t presence = 0; presence < 4; ++presence) {
+            const kernels::SelectOperands op{
+                .p1 = {a.data(), (k * 5 + 1) % n},
+                .p2 = {presence & 1 ? b.data() : nullptr, (k * 3 + 2) % n},
+                .p_flip = flip,
+                .q1 = {c.data(), (k * 7 + 3) % n},
+                .q2 = {presence & 2 ? d.data() : nullptr, k},
+                .q_flip = ~flip,
+                .m = {e.data(), (n - k) % n}};
+            std::vector<std::uint64_t> want(n), got(n);
+            const std::uint64_t pw = select_by_definition(op, want, n);
+            const std::uint64_t pg = t->select_rotated(op, got.data(), n);
+            EXPECT_EQ(pw, pg) << kernels::backend_name(t->backend) << " n=" << n
+                              << " k=" << k << " presence=" << presence;
+            EXPECT_EQ(want, got) << kernels::backend_name(t->backend)
+                                 << " n=" << n << " k=" << k
+                                 << " presence=" << presence;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(Kernels, SelectRotatedDstMayAliasAnUnrotatedOperand) {
+  // The cell chain's bin-mean update writes into its own unrotated p1.
+  Rng rng(0xBEEF0B);
+  for (const std::size_t n : kRotatedWordCounts) {
+    const auto mean = random_words(n, rng);
+    const auto mid = random_words(n, rng);
+    const auto mask = random_words(n, rng);
+    for (const kernels::KernelTable* t : usable_backends()) {
+      for (std::size_t k = 0; k < n; ++k) {
+        const kernels::SelectOperands expect_op{
+            .p1 = {mean.data()}, .q1 = {mid.data(), k},
+            .m = {mask.data(), (k * 3 + 1) % n}};
+        std::vector<std::uint64_t> want(n);
+        const std::uint64_t pw = select_by_definition(expect_op, want, n);
+        auto inplace = mean;
+        kernels::SelectOperands op = expect_op;
+        op.p1.words = inplace.data();
+        const std::uint64_t pg = t->select_rotated(op, inplace.data(), n);
+        EXPECT_EQ(pw, pg) << kernels::backend_name(t->backend) << " n=" << n
+                          << " k=" << k;
+        EXPECT_EQ(want, inplace) << kernels::backend_name(t->backend)
+                                 << " n=" << n << " k=" << k;
+      }
+    }
+  }
+}
+
+// --- bundle_words ------------------------------------------------------------
+
+namespace {
+
+// Oracle for bundle_words: add_xor_weighted per slot into zeroed counters,
+// then threshold_words, with the zero mask read off the counters (the path
+// every bundle took before the blocked kernel).
+void bundle_by_add_xor(const std::vector<std::vector<std::uint64_t>>& a,
+                       const std::vector<std::vector<std::uint64_t>>& b,
+                       const std::vector<double>& weights, std::size_t words,
+                       std::vector<std::uint64_t>& out,
+                       std::vector<std::uint64_t>& zero_masks) {
+  const kernels::KernelTable& ref = kernels::scalar_table();
+  const std::size_t dim = words * 64;
+  std::vector<double> counts(dim, 0.0);
+  for (std::size_t s = 0; s < weights.size(); ++s) {
+    ref.add_xor_weighted(a[s].data(), b[s].data(), dim, weights[s],
+                         counts.data());
+  }
+  out.assign(words, 0);
+  (void)ref.threshold_words(counts.data(), dim, out.data());
+  zero_masks.assign(words, 0);
+  for (std::size_t i = 0; i < dim; ++i) {
+    if (counts[i] == 0.0) zero_masks[i / 64] |= 1ULL << (i % 64);
+  }
+}
+
+}  // namespace
+
+TEST(Kernels, BundleWordsMatchesAddXorWeightedThresholdOnAllBackends) {
+  // 0, 1 and many slots, with and without exact-zero ties, over sub-ranges.
+  Rng rng(0xBEEF0C);
+  const std::size_t words = 9;
+  for (const std::size_t slots : {0u, 1u, 2u, 6u, 33u, 40u}) {
+    std::vector<std::vector<std::uint64_t>> a(slots), b(slots);
+    std::vector<double> weights(slots);
+    for (std::size_t s = 0; s < slots; ++s) {
+      a[s] = random_words(words, rng);
+      b[s] = random_words(words, rng);
+      weights[s] = 0.02 + static_cast<double>(rng.below(1000)) / 997.0;
+    }
+    // Slot s votes against slot s − 1 (same weight) on the dimensions set in
+    // `bits`, returning those counters from +0.0 to exactly +0.0.
+    const auto cancel = [&](std::size_t s, std::uint64_t bits) {
+      for (std::size_t w = 0; w < words; ++w) {
+        a[s][w] = a[s - 1][w] ^ b[s - 1][w] ^ bits ^ b[s][w];
+      }
+      weights[s] = weights[s - 1];
+    };
+    if (slots == 2 || slots == 40) {
+      for (std::size_t s = 1; s < slots; s += 2) cancel(s, ~0ULL);  // all ties
+    }
+    if (slots == 6) {  // ties on the low half of every word only
+      cancel(1, ~0ULL);
+      cancel(3, 0xFFFFFFFFULL);
+      a[5] = a[4];
+      b[5] = b[4];
+      weights[5] = -weights[4];
+    }
+    std::vector<const std::uint64_t*> ap(slots), bp(slots);
+    for (std::size_t s = 0; s < slots; ++s) {
+      ap[s] = a[s].data();
+      bp[s] = b[s].data();
+    }
+    std::vector<std::uint64_t> want, want_zeros;
+    bundle_by_add_xor(a, b, weights, words, want, want_zeros);
+    if (slots == 0 || slots == 2 || slots == 40) {
+      ASSERT_EQ(want_zeros, std::vector<std::uint64_t>(words, ~0ULL));
+    }
+    if (slots == 6) {
+      ASSERT_EQ(want_zeros, std::vector<std::uint64_t>(words, 0xFFFFFFFFULL));
+    }
+    for (const kernels::KernelTable* t : usable_backends()) {
+      for (const auto& [lo, hi] : {std::pair<std::size_t, std::size_t>{0, words},
+                                   {0, 1}, {3, 4}, {2, 7}, {8, 9}}) {
+        std::vector<std::uint64_t> got(words, 0xDEAD), zeros(words, 0xBEEF);
+        t->bundle_words(ap.data(), bp.data(), weights.data(), slots, lo, hi,
+                        got.data(), zeros.data());
+        for (std::size_t w = 0; w < words; ++w) {
+          const bool in = w >= lo && w < hi;
+          EXPECT_EQ(in ? want[w] : 0xDEAD, got[w])
+              << kernels::backend_name(t->backend) << " slots=" << slots
+              << " range=[" << lo << "," << hi << ") w=" << w;
+          EXPECT_EQ(in ? want_zeros[w] : 0xBEEF, zeros[w])
+              << kernels::backend_name(t->backend) << " slots=" << slots
+              << " range=[" << lo << "," << hi << ") w=" << w << " (zeros)";
+        }
+      }
     }
   }
 }

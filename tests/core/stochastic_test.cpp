@@ -1,7 +1,10 @@
 #include "core/stochastic.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -209,6 +212,45 @@ TEST_F(StochasticTest, BernoulliMaskKeepsTailZero) {
   StochasticContext ctx(100, 1);
   const auto m = ctx.bernoulli_mask(1.0);
   EXPECT_EQ(m.popcount(), 100u);
+}
+
+TEST_F(StochasticTest, PooledMaskViewDrawsLikeBernoulliMask) {
+  // The inline draw against its definition: bucket std::llround(p·255) —
+  // including every half-way point and its neighbours — then the pool index
+  // and the word rotation from the RNG, in that order, and the view read
+  // through its rotation equals bernoulli_mask(p) on an identically seeded
+  // fork.
+  StochasticContext ctx(1024, 0xB0C7);
+  EXPECT_THROW((void)ctx.pooled_mask_view(0.5), std::logic_error);
+  ctx.warm_pool();
+  ASSERT_TRUE(ctx.pooled_fast_path());
+  const std::size_t words = ctx.basis().num_words();
+  std::vector<double> ps = {0.0, 1.0, -0.5, 1.5, 0.25, 0.5};
+  for (int k = 0; k < 255; ++k) {
+    const double half = (k + 0.5) / 255.0;
+    ps.push_back(half);
+    ps.push_back(std::nextafter(half, 0.0));
+    ps.push_back(std::nextafter(half, 1.0));
+  }
+  std::uint64_t seed = 1;
+  for (const double p : ps) {
+    const auto bucket = static_cast<std::size_t>(
+        std::llround(std::clamp(p, 0.0, 1.0) * 255.0));
+    Rng rng(seed);
+    const auto& entry = ctx.mutable_pool_bucket(bucket)[rng.below(64)];
+    const std::size_t offset = rng.below(words);
+    auto view_ctx = ctx.fork(seed);
+    const auto view = view_ctx.pooled_mask_view(p);
+    EXPECT_EQ(view.words, entry.words().data()) << "p=" << p;
+    EXPECT_EQ(view.offset, offset) << "p=" << p;
+    auto mask_ctx = ctx.fork(seed);
+    const Hypervector mask = mask_ctx.bernoulli_mask(p);
+    for (std::size_t i = 0; i < words; ++i) {
+      ASSERT_EQ(mask.words()[i], view.words[(i + view.offset) % words])
+          << "p=" << p << " word " << i;
+    }
+    ++seed;
+  }
 }
 
 TEST_F(StochasticTest, MismatchedDimensionsThrow) {

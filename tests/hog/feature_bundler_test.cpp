@@ -1,8 +1,13 @@
 #include "hog/feature_bundler.hpp"
 
+#include <cmath>
 #include <stdexcept>
+#include <vector>
 
 #include <gtest/gtest.h>
+
+#include "core/accumulator.hpp"
+#include "core/kernels/kernels.hpp"
 
 namespace hdface::hog {
 namespace {
@@ -86,6 +91,61 @@ TEST_F(FeatureBundlerTest, CountsOpsWhenRequested) {
   (void)b.bundle(slots, &counter);
   EXPECT_GT(counter.get(core::OpKind::kWordLogic), 0u);
   EXPECT_GT(counter.get(core::OpKind::kIntAdd), 0u);
+}
+
+TEST_F(FeatureBundlerTest, WeightedBundleMatchesAccumulatorOracle) {
+  // The one bundling path (register-blocked words, ties drawn from the zero
+  // masks) against per-slot Accumulator::add_xor + threshold with the same
+  // tie stream: skipped slots, slots that cancel to exact ties, a dimension
+  // that is not a whole number of words, and every usable kernel backend.
+  for (const core::kernels::KernelTable* t : core::kernels::compiled_tables()) {
+    if (!core::kernels::backend_supported(t->backend)) continue;
+    const core::kernels::ScopedBackend scoped(t->backend);
+    for (const std::size_t dim : {1000u, 2048u}) {
+      core::StochasticContext ctx(dim, 0xB4D);
+      FeatureBundler b(ctx, 2, 2, 4);
+      core::Rng rng(0x5107);
+      std::vector<core::Hypervector> slots;
+      std::vector<double> weights;
+      for (std::size_t i = 0; i < b.slots(); ++i) {
+        slots.push_back(core::Hypervector::random(dim, rng));
+        weights.push_back(static_cast<double>(rng.below(100)) / 99.0);
+      }
+      weights[3] = 0.01;  // below min_weight: skipped
+      // Slot 5 votes exactly against slot 4: with the rest below min_weight
+      // every counter ends at +0.0 and draws a tie.
+      slots[5] = b.key(1, 1) ^ ~(b.key(1, 0) ^ slots[4]);
+      weights[5] = weights[4];
+      for (const bool only_ties : {false, true}) {
+        std::vector<double> w = weights;
+        if (only_ties) {
+          for (std::size_t i = 0; i < w.size(); ++i) {
+            if (i != 4 && i != 5) w[i] = 0.0;
+          }
+        }
+        core::Accumulator acc(dim);
+        core::OpCounter want_ops;
+        acc.set_counter(&want_ops);
+        for (std::size_t i = 0; i < slots.size(); ++i) {
+          if (std::abs(w[i]) < 0.02) continue;
+          acc.add_xor(b.key(i / 4, i % 4), slots[i], w[i]);
+        }
+        if (only_ties) {
+          for (const double c : acc.counts()) ASSERT_EQ(c, 0.0);
+        }
+        core::Rng tie(b.tie_seed());
+        const core::Hypervector want = acc.threshold(tie);
+        core::OpCounter got_ops;
+        EXPECT_EQ(b.bundle_weighted(slots, w, 0.02, &got_ops), want)
+            << core::kernels::backend_name(t->backend) << " dim=" << dim
+            << " only_ties=" << only_ties;
+        EXPECT_EQ(got_ops.get(core::OpKind::kWordLogic),
+                  want_ops.get(core::OpKind::kWordLogic));
+        EXPECT_EQ(got_ops.get(core::OpKind::kIntAdd),
+                  want_ops.get(core::OpKind::kIntAdd));
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -78,8 +78,8 @@ TEST_F(HdHogTest, PixelGradientMatchesFloatGradient) {
   const image::Image img = ramp_image(16, 0.03f, -0.015f);
   const GradientField ref = compute_gradients(img);
   const double tol = 5.0 / std::sqrt(4096.0) + 2.0 / 255.0;
-  for (const auto [x, y] : {std::pair<std::size_t, std::size_t>{5, 5},
-                            {0, 8}, {15, 3}, {8, 15}}) {
+  for (const auto& [x, y] : {std::pair<std::size_t, std::size_t>{5, 5},
+                             {0, 8}, {15, 3}, {8, 15}}) {
     auto g = hd.pixel_gradient(img, x, y);
     EXPECT_NEAR(ctx_.decode(g.gx), ref.gx_at(x, y), tol) << x << "," << y;
     EXPECT_NEAR(ctx_.decode(g.gy), ref.gy_at(x, y), tol) << x << "," << y;
@@ -104,11 +104,11 @@ TEST_F(HdHogTest, PixelBinMatchesFloatBinOnStrongGradients) {
   const AngleBinner binner(8);
   int agree = 0;
   int total = 0;
-  for (const auto [sx, sy] : {std::pair<float, float>{0.06f, 0.015f},
-                              {0.015f, 0.06f},
-                              {-0.06f, 0.02f},
-                              {-0.05f, -0.08f},
-                              {0.08f, -0.04f}}) {
+  for (const auto& [sx, sy] : {std::pair<float, float>{0.06f, 0.015f},
+                               {0.015f, 0.06f},
+                               {-0.06f, 0.02f},
+                               {-0.05f, -0.08f},
+                               {0.08f, -0.04f}}) {
     const image::Image img = ramp_image(16, sx, sy);
     const GradientField ref = compute_gradients(img);
     auto g = hd.pixel_gradient(img, 8, 8);

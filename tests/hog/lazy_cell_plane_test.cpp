@@ -12,11 +12,13 @@
 #include <cstdint>
 #include <limits>
 #include <random>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/kernels/kernels.hpp"
 #include "core/stochastic.hpp"
 #include "hog/cell_plane.hpp"
 #include "hog/gradient.hpp"
@@ -134,44 +136,55 @@ TEST(LazyCellPlane, ConcurrentEnsureRunsEachFillExactlyOnce) {
 // --- fused batched kernel vs reference per-pixel chain -----------------------
 
 TEST(FusedCellKernel, BitIdenticalToReferenceChain) {
-  core::StochasticContext ctx(1024, 0xABCD);
-  ctx.warm_pool();
-  ASSERT_TRUE(ctx.pooled_fast_path());
-  HdHogConfig cfg;
-  cfg.hog.cell_size = 4;
-  cfg.hog.bins = 8;
-  // Faithful mode is what arms the fused dispatch; anything else would make
-  // this test compare the reference chain against itself.
-  ASSERT_EQ(cfg.mode, HdHogMode::kFaithful);
-  const HdHogExtractor hd(ctx, cfg, 16, 16);
+  // Every usable kernel backend, at D = 4096 (the deployed width), 1024 and
+  // 576 (9 words: the SIMD backends' scalar fallback).
+  for (const core::kernels::KernelTable* t : core::kernels::compiled_tables()) {
+    if (!core::kernels::backend_supported(t->backend)) continue;
+    const core::kernels::ScopedBackend scoped(t->backend);
+    for (const std::size_t dim : {576u, 1024u, 4096u}) {
+      SCOPED_TRACE(std::string(core::kernels::backend_name(t->backend)) +
+                   " D=" + std::to_string(dim));
+      core::StochasticContext ctx(dim, 0xABCD);
+      ctx.warm_pool();
+      ASSERT_TRUE(ctx.pooled_fast_path());
+      HdHogConfig cfg;
+      cfg.hog.cell_size = 4;
+      cfg.hog.bins = 8;
+      // Faithful mode is what arms the fused dispatch; anything else would
+      // make this test compare the reference chain against itself.
+      ASSERT_EQ(cfg.mode, HdHogMode::kFaithful);
+      const HdHogExtractor hd(ctx, cfg, 16, 16);
 
-  std::mt19937 gen(7);
-  std::uniform_real_distribution<float> dist(0.0f, 1.0f);
-  image::Image img(16, 16);
-  for (auto& p : img.pixels()) p = dist(gen);
-  const LevelIndexPlane levels = build_level_index_plane(img, hd.item_memory());
+      std::mt19937 gen(7);
+      std::uniform_real_distribution<float> dist(0.0f, 1.0f);
+      image::Image img(16, 16);
+      for (auto& p : img.pixels()) p = dist(gen);
+      const LevelIndexPlane levels =
+          build_level_index_plane(img, hd.item_memory());
 
-  double reference[8];
-  double fused[8];
-  double fused_with_levels[8];
-  for (std::size_t cy = 0; cy < 3; ++cy) {
-    for (std::size_t cx = 0; cx < 3; ++cx) {
-      // Identical reseed per variant: any difference is the implementation,
-      // not the stream.
-      const std::uint64_t seed = 0x1234 + cx * 17 + cy;
-      auto ref_ctx = ctx.fork(seed);
-      hd.cell_raw_values(img, nullptr, cx * 4, cy * 4, ref_ctx, reference,
-                         /*force_reference=*/true);
-      auto fused_ctx = ctx.fork(seed);
-      hd.cell_raw_values(img, nullptr, cx * 4, cy * 4, fused_ctx, fused);
-      auto plane_ctx = ctx.fork(seed);
-      hd.cell_raw_values(img, &levels, cx * 4, cy * 4, plane_ctx,
-                         fused_with_levels);
-      for (std::size_t b = 0; b < 8; ++b) {
-        EXPECT_EQ(reference[b], fused[b])
-            << "cell (" << cx << "," << cy << ") bin " << b;
-        EXPECT_EQ(reference[b], fused_with_levels[b])
-            << "cell (" << cx << "," << cy << ") bin " << b << " (levels)";
+      double reference[8];
+      double fused[8];
+      double fused_with_levels[8];
+      for (std::size_t cy = 0; cy < 3; ++cy) {
+        for (std::size_t cx = 0; cx < 3; ++cx) {
+          // Identical reseed per variant: any difference is the
+          // implementation, not the stream.
+          const std::uint64_t seed = 0x1234 + cx * 17 + cy;
+          auto ref_ctx = ctx.fork(seed);
+          hd.cell_raw_values(img, nullptr, cx * 4, cy * 4, ref_ctx, reference,
+                             /*force_reference=*/true);
+          auto fused_ctx = ctx.fork(seed);
+          hd.cell_raw_values(img, nullptr, cx * 4, cy * 4, fused_ctx, fused);
+          auto plane_ctx = ctx.fork(seed);
+          hd.cell_raw_values(img, &levels, cx * 4, cy * 4, plane_ctx,
+                             fused_with_levels);
+          for (std::size_t b = 0; b < 8; ++b) {
+            EXPECT_EQ(reference[b], fused[b])
+                << "cell (" << cx << "," << cy << ") bin " << b;
+            EXPECT_EQ(reference[b], fused_with_levels[b])
+                << "cell (" << cx << "," << cy << ") bin " << b << " (levels)";
+          }
+        }
       }
     }
   }
