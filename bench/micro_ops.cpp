@@ -339,14 +339,13 @@ CellChainReport time_cell_chain(std::size_t dim) {
 
   // Whole-cell raw-value pass, reference vs fused, same reseed stream so both
   // time the identical workload (and the fused path stays on its contract:
-  // faithful mode, pooled context, no counter).
+  // faithful mode, pooled context).
   const hog::LevelIndexPlane levels =
       hog::build_level_index_plane(img, hd.item_memory());
   std::vector<double> out(cfg.hog.bins);
   r.cell_reference_ns = ns_per_op([&] {
     core::StochasticContext cell_ctx = ctx.fork(0xCE11);
-    hd.cell_raw_values(img, &levels, 8, 8, cell_ctx, out.data(),
-                       /*force_reference=*/true);
+    hd.cell_raw_values_reference(img, 8, 8, cell_ctx, out.data());
     benchmark::DoNotOptimize(out.data());
   });
   r.cell_fused_ns = ns_per_op([&] {

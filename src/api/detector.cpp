@@ -3,7 +3,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "core/kernels/kernels.hpp"
 #include "core/op_counter.hpp"
 #include "dataset/dataset.hpp"
 #include "image/pnm.hpp"
@@ -12,7 +11,6 @@
 #include "pipeline/hdface_pipeline.hpp"
 #include "pipeline/multiscale.hpp"
 #include "pipeline/parallel_detect.hpp"
-#include "pipeline/sliding_window.hpp"
 
 namespace hdface::api {
 
@@ -24,19 +22,65 @@ void validate_or_throw(const DetectOptions& options) {
   if (auto err = validate(options)) throw InvalidOptionsError(std::move(*err));
 }
 
-// Builds the per-call staged scorer for calibrated cascade requests (exact
-// mode and cascade-free calls return nullopt — the engine then runs the
-// pre-cascade path untouched). The Cascade constructor re-validates the
-// table against the trained classifier (dim/classes/positive_class), so a
+// The engine config of one call. `cascade` is the per-call staged scorer
+// (null for exact mode — the engine then runs the pre-cascade path
+// untouched); it must outlive the scan the returned config drives.
+pipeline::ParallelDetectConfig engine_config(const DetectOptions& options,
+                                             const pipeline::Cascade* cascade) {
+  pipeline::ParallelDetectConfig engine;
+  engine.threads = options.threads;
+  // The sinks point into caller-owned storage that outlives the call.
+  if (options.telemetry) {
+    engine.feature_counter = options.telemetry->feature_ops;
+    engine.cache_stats = options.telemetry->encode_cache;
+    engine.cascade_stats = options.telemetry->cascade;
+    engine.cascade_per_scale = options.telemetry->cascade_per_scale;
+  }
+  // Points into the caller's options, which outlive the scan call.
+  engine.fault_plan = options.fault_plan ? &*options.fault_plan : nullptr;
+  engine.encode_mode = options.encode_mode;
+  engine.plane_mode = options.plane_mode;
+  engine.cascade = cascade;
+  return engine;
+}
+
+// Runs scan(engine config) for one validated call. A call with a fault plan
+// scans inside a FaultSession, so the plan's stored-memory faults span the
+// whole scan (every pyramid level of it); restore() is explicit so
+// verification errors surface to the caller. Otherwise a calibrated cascade
+// request gets its per-call staged scorer. validate() rejects a cascade with
+// a fault plan, so no call needs both. The Cascade constructor re-validates
+// the table against the trained classifier (dim/classes/positive_class): a
 // table calibrated for a different model throws std::invalid_argument —
 // typed kInvalidOptions on the Request path.
-std::optional<pipeline::Cascade> make_cascade(
-    const pipeline::HdFacePipeline& pipeline, const DetectOptions& options) {
-  if (!options.cascade ||
-      options.cascade->mode != pipeline::CascadeMode::kCalibrated) {
-    return std::nullopt;
+template <typename Scan>
+auto run_scan(pipeline::HdFacePipeline& pipeline, const DetectOptions& options,
+              const Scan& scan) {
+  if (options.fault_plan) {
+    pipeline::FaultSession session(pipeline, *options.fault_plan);
+    auto result = scan(engine_config(options, nullptr));
+    session.restore();
+    return result;
   }
-  return pipeline::Cascade(pipeline.classifier(), options.cascade->table);
+  if (options.cascade &&
+      options.cascade->mode == pipeline::CascadeMode::kCalibrated) {
+    const pipeline::Cascade cascade(pipeline.classifier(),
+                                    options.cascade->table);
+    return scan(engine_config(options, &cascade));
+  }
+  return scan(engine_config(options, nullptr));
+}
+
+// The single-scale window map of one validated call.
+pipeline::DetectionMap scan_map(pipeline::HdFacePipeline& pipeline,
+                                const image::Image& scene, std::size_t window,
+                                const DetectOptions& options) {
+  return run_scan(pipeline, options,
+                  [&](const pipeline::ParallelDetectConfig& engine) {
+                    return pipeline::detect_windows_parallel(
+                        pipeline, scene, window, options.stride,
+                        options.positive_class, engine);
+                  });
 }
 
 }  // namespace
@@ -58,55 +102,17 @@ int Detector::predict(const image::Image& window_img) {
   return pipeline_->predict(window_img);
 }
 
-pipeline::ParallelDetectConfig Detector::engine_config(
-    const DetectOptions& options, const pipeline::Cascade* cascade) const {
-  pipeline::ParallelDetectConfig engine;
-  engine.threads = options.threads;
-  // The sinks point into caller-owned storage that outlives the call.
-  if (options.telemetry) {
-    engine.feature_counter = options.telemetry->feature_ops;
-    engine.cache_stats = options.telemetry->encode_cache;
-    engine.cascade_stats = options.telemetry->cascade;
-    engine.cascade_per_scale = options.telemetry->cascade_per_scale;
-  }
-  // Points into the caller's options, which outlive the scan call.
-  engine.fault_plan = options.fault_plan ? &*options.fault_plan : nullptr;
-  engine.encode_mode = options.encode_mode;
-  engine.plane_mode = options.plane_mode;
-  engine.cascade = cascade;
-  return engine;
-}
-
 pipeline::DetectionMap Detector::detect_map(const image::Image& scene,
                                             const DetectOptions& options) {
   validate_or_throw(options);
-  const core::kernels::ScopedBackend backend(options.kernel_backend);
-  if (options.fault_plan) {
-    // Inject the plan's stored-memory faults for the duration of the scan;
-    // restore() is explicit so verification errors surface to the caller.
-    // (validate() already rejected cascade+fault_plan, so no cascade here.)
-    pipeline::FaultSession session(*pipeline_, *options.fault_plan);
-    auto map = pipeline::detect_windows_parallel(*pipeline_, scene, window_,
-                                                 options.stride,
-                                                 options.positive_class,
-                                                 engine_config(options));
-    session.restore();
-    return map;
-  }
-  const std::optional<pipeline::Cascade> cascade =
-      make_cascade(*pipeline_, options);
-  return pipeline::detect_windows_parallel(
-      *pipeline_, scene, window_, options.stride, options.positive_class,
-      engine_config(options, cascade ? &*cascade : nullptr));
+  return scan_map(*pipeline_, scene, window_, options);
 }
 
 std::vector<pipeline::Detection> Detector::detect_validated(
     const image::Image& scene, const DetectOptions& options) {
-  const core::kernels::ScopedBackend backend(options.kernel_backend);
-  const bool single_scale =
-      options.scales.size() == 1 && options.scales.front() == 1.0;
-  if (single_scale) {
-    const auto map = detect_map(scene, options);
+  if (options.scales.size() == 1 && options.scales.front() == 1.0) {
+    const pipeline::DetectionMap map =
+        scan_map(*pipeline_, scene, window_, options);
     // NMS off: every positive window is its own box (the raw Fig 6 view);
     // iou_threshold > 1 means nothing ever suppresses.
     const double iou = options.nms ? options.nms_iou : 2.0;
@@ -120,20 +126,12 @@ std::vector<pipeline::Detection> Detector::detect_validated(
   // The multiscale merge always suppresses cross-scale duplicates of one
   // face; options.nms_iou only tunes how aggressively.
   ms.iou_threshold = options.nms ? options.nms_iou : 0.3;
-  pipeline::MultiScaleDetector det(pipeline_, window_, ms);
-  if (options.fault_plan) {
-    // One session spans every pyramid level: a persistent storage fault
-    // corrupts all scales of a scan, not each independently.
-    // (validate() already rejected cascade+fault_plan, so no cascade here.)
-    pipeline::FaultSession session(*pipeline_, *options.fault_plan);
-    auto boxes = det.detect(scene, engine_config(options));
-    session.restore();
-    return boxes;
-  }
-  const std::optional<pipeline::Cascade> cascade =
-      make_cascade(*pipeline_, options);
-  return det.detect(scene,
-                    engine_config(options, cascade ? &*cascade : nullptr));
+  return run_scan(*pipeline_, options,
+                  [&](const pipeline::ParallelDetectConfig& engine) {
+                    return pipeline::detect_multiscale(
+                        *pipeline_, scene, window_, ms,
+                        options.positive_class, engine);
+                  });
 }
 
 std::vector<pipeline::Detection> Detector::detect(const image::Image& scene,
@@ -153,8 +151,8 @@ Outcome<Response> Detector::detect(const Request& request) {
   try {
     response.detections = detect_validated(request.scene, request.options);
   } catch (const std::invalid_argument& e) {
-    // Engine-level rejections (unavailable kernel backend, encode mode
-    // unsupported by this pipeline, degenerate geometry) stay typed.
+    // Engine-level rejections (encode mode unsupported by this pipeline,
+    // a cascade table for another model, degenerate geometry) stay typed.
     return Error::invalid_options(e.what());
   } catch (const std::exception& e) {
     return Error::internal(e.what());
@@ -165,9 +163,7 @@ Outcome<Response> Detector::detect(const Request& request) {
 image::RgbImage Detector::render_overlay(const image::Image& scene,
                                          const pipeline::DetectionMap& map,
                                          int positive_class) const {
-  pipeline::SlidingWindowDetector det(pipeline_, map.window, map.stride,
-                                      positive_class);
-  return det.render_overlay(scene, map);
+  return pipeline::render_overlay(scene, map, positive_class);
 }
 
 image::RgbImage Detector::render(

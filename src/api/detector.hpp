@@ -22,8 +22,8 @@
 //   if (out.ok()) use(out.value().detections);
 //
 // The facade owns the pipeline via shared_ptr, so detectors are cheap to
-// copy/move and every lower-level component (SlidingWindowDetector,
-// MultiScaleDetector, FaceTracker feeds) can share the same trained model.
+// copy/move and share one trained model with the lower-level scan functions
+// (pipeline/parallel_detect.hpp, pipeline/multiscale.hpp) and tracker feeds.
 // The same builder serves face and emotion workloads — a workload is just a
 // (window, classes, dataset) triple.
 //
@@ -51,11 +51,9 @@ namespace hdface::hog {
 enum class HdHogMode;
 }
 namespace hdface::pipeline {
-class Cascade;
 class HdFacePipeline;
 struct HdFaceConfig;
 enum class HdFaceMode;
-struct ParallelDetectConfig;
 }
 
 namespace hdface::api {
@@ -98,6 +96,8 @@ class Detector {
 
   // --- rendering ------------------------------------------------------------
 
+  // pipeline::render_overlay and pipeline::render_detections; render_overlay
+  // throws std::invalid_argument when the map does not lie on the scene.
   image::RgbImage render_overlay(const image::Image& scene,
                                  const pipeline::DetectionMap& map,
                                  int positive_class = 1) const;
@@ -112,12 +112,6 @@ class Detector {
   }
 
  private:
-  // `cascade` is the per-call staged scorer built from options.cascade (null
-  // for exact mode — the engine then runs the pre-cascade path untouched);
-  // it must outlive the scan the returned config drives.
-  pipeline::ParallelDetectConfig engine_config(
-      const DetectOptions& options,
-      const pipeline::Cascade* cascade = nullptr) const;
   std::vector<pipeline::Detection> detect_validated(const image::Image& scene,
                                                     const DetectOptions& options);
 

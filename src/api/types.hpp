@@ -27,7 +27,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/kernels/backend.hpp"
 #include "image/image.hpp"
 #include "noise/fault_model.hpp"
 #include "pipeline/cascade_types.hpp"
@@ -241,16 +240,6 @@ struct DetectOptions {
   // structurally malformed tables (no stages, non-ascending stage words,
   // non-finite thresholds).
   std::optional<pipeline::CascadeConfig> cascade;
-  // SIMD kernel backend for this scan's packed-word hot loops. nullopt
-  // (default) keeps the process-wide choice (HDFACE_KERNEL_BACKEND env
-  // override, else the best backend the CPU supports). Every backend is
-  // bit-identical — results and op charges never change, only speed. Forced
-  // process-wide for the duration of the call (the dispatch table is global),
-  // so don't race scans with different backends; throws
-  // std::invalid_argument when the backend is not available on this
-  // build/CPU. The serving layer rejects requests that set this (a
-  // process-global force would race concurrent workers).
-  std::optional<core::kernels::Backend> kernel_backend;
 };
 
 // Fail-fast options validation: empty scales, scale outside (0,1], stride 0,

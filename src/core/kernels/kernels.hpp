@@ -36,9 +36,8 @@
 //
 // Selection order: HDFACE_KERNEL_BACKEND environment variable (scalar |
 // avx2 | avx512 | neon | auto) when set, otherwise the best backend the
-// CPU supports. Tests and api::DetectOptions::kernel_backend can force any
-// compiled backend for the current process via force_backend()/
-// ScopedBackend.
+// CPU supports. Tests and benches can force any compiled backend for the
+// current process via force_backend()/ScopedBackend.
 
 #include <cstddef>
 #include <cstdint>
@@ -184,7 +183,7 @@ const KernelTable& active();
 // Force a backend for the whole process (nullopt returns to the automatic
 // choice). Throws like table_for on an unusable backend. Not synchronized
 // with in-flight kernel calls: set it only while no detector/encoder work
-// is running (tests, bench setup, the api facade before dispatch).
+// is running (tests, bench setup).
 void force_backend(std::optional<Backend> b);
 
 // Currently forced backend, if any.
@@ -195,7 +194,7 @@ std::optional<Backend> forced_backend();
 // std::invalid_argument on anything else.
 std::optional<Backend> parse_backend(std::string_view name);
 
-// RAII force/restore (what api::DetectOptions::kernel_backend uses).
+// RAII force/restore for tests and benches.
 class ScopedBackend {
  public:
   explicit ScopedBackend(std::optional<Backend> b) : prev_(forced_backend()) {

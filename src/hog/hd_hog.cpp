@@ -138,17 +138,14 @@ void HdHogExtractor::cell_raw_values(const image::Image& img, std::size_t x0,
 void HdHogExtractor::cell_raw_values(const image::Image& img,
                                      const LevelIndexPlane* levels,
                                      std::size_t x0, std::size_t y0,
-                                     core::StochasticContext& ctx, double* out,
-                                     bool force_reference) const {
+                                     core::StochasticContext& ctx,
+                                     double* out) const {
   if (levels != nullptr &&
       (levels->width != img.width() || levels->height != img.height())) {
     throw std::invalid_argument(
         "HdHogExtractor: level-index plane geometry mismatches the image");
   }
-  // The fused path never charges an op counter (the modeled costs are defined
-  // by the reference chain), so accounting runs keep the reference ops.
-  if (!force_reference && config_.mode == HdHogMode::kFaithful &&
-      ctx.counter() == nullptr && ctx.pooled_fast_path()) {
+  if (config_.mode == HdHogMode::kFaithful && ctx.pooled_fast_path()) {
     cell_raw_values_fused(img, levels, x0, y0, ctx, out);
     return;
   }
@@ -218,6 +215,20 @@ void HdHogExtractor::cell_raw_values_fused(const image::Image& img,
   // contract: each pooled_mask_view below stands where the reference draws
   // its bernoulli_mask, in the same order with the same probability, so the
   // RNG stream — and therefore every output double — is bit-identical.
+  //
+  // Op charges match the reference chain's too. pooled_mask_view charges
+  // each draw as bernoulli_mask does; the word passes the reference ops
+  // charge beyond their masks (core/stochastic.cpp) are tallied below in
+  // whole-vector passes and charged once, at the end of the cell.
+  constexpr std::uint64_t kSelect = 3;     // weighted_average's select
+  constexpr std::uint64_t kDecode = 1;     // decode (+ one popcount pass)
+  constexpr std::uint64_t kConstruct = 1;  // construct's basis XOR
+  constexpr std::uint64_t kMultiply = 2;   // a ^ b ^ V₁
+  // compare: negate, select, decode (+ one popcount pass).
+  constexpr std::uint64_t kCompare = 1 + kSelect + kDecode;
+  std::uint64_t logic_passes = 0;
+  std::uint64_t popcount_passes = 0;
+
   using View = core::kernels::WordView;
   const auto& kt = core::kernels::active();
   const std::size_t bins = config_.hog.bins;
@@ -265,6 +276,9 @@ void HdHogExtractor::cell_raw_values_fused(const image::Image& img,
           {.p1 = pix(xi, yi + 1), .p2 = basis, .q1 = pix(xi, yi - 1),
            .q2 = basis, .q_flip = ~0ULL, .m = ctx.pooled_mask_view(0.5)},
           gy, n));
+      // Two add_halved selects, then pixel_bin's two sign decodes.
+      logic_passes += 2 * (kSelect + kDecode);
+      popcount_passes += 2;
 
       // Orientation bin: quadrant from the signs, then one fused compare per
       // interior boundary.
@@ -293,6 +307,9 @@ void HdHogExtractor::cell_raw_values_fused(const image::Image& img,
             sink, n));
         greater[j] = d > eps / 2.0;
       }
+      // Each boundary multiplies by c_j, then compares.
+      logic_passes += boundary_consts_.size() * (kMultiply + kCompare);
+      popcount_passes += boundary_consts_.size();
       const std::size_t bin =
           binner_.global_bin(q, binner_.local_bin_from_comparisons(greater));
 
@@ -305,11 +322,16 @@ void HdHogExtractor::cell_raw_values_fused(const image::Image& img,
                            .m = ctx.pooled_mask_view(0.5)},
                           m2, n);
       }
+      // Each square is multiply(v, construct(decode(v))); then the halved sum.
+      logic_passes += 2 * (kDecode + kConstruct + kMultiply) + kSelect;
+      popcount_passes += 2;
+
       // Binary-search sqrt. Each step compares mid² = construct(m) ⊗
       // construct(m) against m2, i.e. decodes M ? R₁ ^ R₂ : ~m2; the
       // pre-loop construct(0.5) is overwritten by the first step but still
       // advances the stream, and mid ^ V₁ = R₁ of the last step that ran.
       View mid = ctx.pooled_mask_view(0.25);
+      logic_passes += kConstruct;
       double lo = 0.0;
       double hi = 1.0;
       for (int it = 0; it < iters; ++it) {
@@ -320,6 +342,9 @@ void HdHogExtractor::cell_raw_values_fused(const image::Image& img,
             {.p1 = mid, .p2 = r2, .q1 = View{m2}, .q_flip = ~0ULL,
              .m = ctx.pooled_mask_view(0.5)},
             sink, n));
+        // Two constructs of the midpoint, their product, the compare.
+        logic_passes += 2 * kConstruct + kMultiply + kCompare;
+        popcount_passes += 1;
         const int c = d > eps / 2.0 ? 1 : (d < -eps / 2.0 ? -1 : 0);
         if (c > 0) {
           hi = mval;
@@ -343,6 +368,7 @@ void HdHogExtractor::cell_raw_values_fused(const image::Image& img,
         kt.select_rotated(
             {.p1 = View{mean}, .q1 = mid, .m = ctx.pooled_mask_view(keep)},
             mean, n);
+        logic_passes += kSelect;
       }
       ++cnt;
     }
@@ -362,6 +388,13 @@ void HdHogExtractor::cell_raw_values_fused(const image::Image& img,
         {.p1 = View{bin_mean.data() + b * n}, .q1 = zero,
          .m = ctx.pooled_mask_view(rate)},
         sink, n));
+    // scale() constructs the zero and selects; then the decode.
+    logic_passes += kConstruct + kSelect + kDecode;
+    popcount_passes += 1;
+  }
+  if (core::OpCounter* counter = ctx.counter()) {
+    counter->add(core::OpKind::kWordLogic, logic_passes * n);
+    counter->add(core::OpKind::kPopcount, popcount_passes * n);
   }
 }
 
@@ -400,32 +433,6 @@ HdHogExtractor::SlotRecord HdHogExtractor::slot_record(
     for (std::size_t cx = 0; cx < cells_x_; ++cx) {
       cell_raw_values(img, cx * cell, cy * cell, ctx,
                       values.data() + (cy * cells_x_ + cx) * bins);
-    }
-  }
-  return normalize_slots(std::move(values));
-}
-
-HdHogExtractor::SlotRecord HdHogExtractor::slot_record_from_plane(
-    const CellPlane& plane, std::size_t origin_x, std::size_t origin_y) const {
-  if (plane.bins != config_.hog.bins ||
-      plane.cell_size != config_.hog.cell_size) {
-    throw std::invalid_argument(
-        "HdHogExtractor: cell plane geometry mismatches this extractor");
-  }
-  if (!plane.window_on_grid(origin_x, origin_y, cells_x_, cells_y_)) {
-    throw std::invalid_argument(
-        "HdHogExtractor: window origin off the cell-plane grid");
-  }
-  const std::size_t bins = config_.hog.bins;
-  const std::size_t cell = config_.hog.cell_size;
-  std::vector<double> values;
-  values.reserve(cells_x_ * cells_y_ * bins);
-  for (std::size_t cy = 0; cy < cells_y_; ++cy) {
-    for (std::size_t cx = 0; cx < cells_x_; ++cx) {
-      const std::size_t gx = (origin_x + cx * cell) / plane.grid_step;
-      const std::size_t gy = (origin_y + cy * cell) / plane.grid_step;
-      const double* cached = plane.cell(gx, gy);
-      values.insert(values.end(), cached, cached + bins);
     }
   }
   return normalize_slots(std::move(values));
@@ -539,11 +546,11 @@ double HdHogExtractor::gather_plane_slots_prescreen(
 core::Hypervector HdHogExtractor::extract_from_plane(
     const CellPlane& plane, std::size_t origin_x, std::size_t origin_y,
     core::OpCounter* counter) const {
-  // Same validation and values as slot_record_from_plane + bundle_weighted,
-  // but allocation-light: slot hypervectors stay inside histogram_memory_
-  // and are bundled by pointer. Per-window cost is what makes the
-  // cell-plane cache pay off, so this path must stay at "cheap tail" scale.
-  // Output is bit-identical to the record-based form.
+  // Same validation and values as slot_record + bundle_weighted over the
+  // plane's cells, but allocation-light: slot hypervectors stay inside
+  // histogram_memory_ and are bundled by pointer. Per-window cost is what
+  // makes the cell-plane cache pay off, so this path must stay at "cheap
+  // tail" scale. Output is bit-identical to the record-based form.
   std::vector<const core::Hypervector*> hvs;
   std::vector<double> values;
   gather_plane_slots(plane, origin_x, origin_y, hvs, values);

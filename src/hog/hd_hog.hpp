@@ -108,27 +108,28 @@ class HdHogExtractor {
   void cell_raw_values(const image::Image& img, std::size_t x0, std::size_t y0,
                        core::StochasticContext& ctx, double* out) const;
 
-  // Batched form of cell_raw_values: same RNG stream, same doubles, chosen
-  // per call between two bit-identical implementations.
-  //
-  //   * The fused kernel path runs every per-pixel stochastic op as one
-  //     pass of the dispatched select_rotated kernel, each pooled mask read
-  //     in place through its rotation offset, so a pixel is about a dozen
-  //     kernel calls over a few flat word buffers per cell instead of
-  //     hundreds of Hypervector temporaries. It requires the faithful mode,
-  //     no attached op counter (charges live on the reference chain), and
-  //     ctx.pooled_fast_path().
-  //   * Otherwise the reference per-pixel chain runs (also when
-  //     `force_reference` is set — micro_ops' baseline timing and the
-  //     fused-kernel identity test's oracle).
-  //
-  // `levels` optionally supplies the scene's precomputed pixel→level indices
-  // (see build_level_index_plane); pass nullptr to quantize on the fly. The
-  // plane must match the image geometry (throws std::invalid_argument).
+  // Batched form of cell_raw_values. `levels` optionally supplies the
+  // scene's precomputed pixel→level indices (see build_level_index_plane);
+  // pass nullptr to quantize on the fly. The plane must match the image
+  // geometry (throws std::invalid_argument). In the faithful mode with
+  // ctx.pooled_fast_path() this runs the fused kernel: every per-pixel
+  // stochastic op is one pass of the dispatched select_rotated kernel, each
+  // pooled mask read in place through its rotation offset, so a pixel is
+  // about a dozen kernel calls over a few flat word buffers per cell instead
+  // of hundreds of Hypervector temporaries. It draws the reference chain's
+  // RNG stream, writes its doubles and charges an attached op counter its
+  // exact op counts. Otherwise the reference chain runs.
   void cell_raw_values(const image::Image& img, const LevelIndexPlane* levels,
                        std::size_t x0, std::size_t y0,
-                       core::StochasticContext& ctx, double* out,
-                       bool force_reference = false) const;
+                       core::StochasticContext& ctx, double* out) const;
+
+  // The reference per-pixel chain (pixel_gradient, pixel_bin and
+  // pixel_magnitude per pixel, then a running stochastic mean per bin): the
+  // only implementation of kDecodeShortcut, the fused kernel's identity and
+  // op-count oracle, and micro_ops' baseline.
+  void cell_raw_values_reference(const image::Image& img, std::size_t x0,
+                                 std::size_t y0, core::StochasticContext& ctx,
+                                 double* out) const;
 
   // Window assembly from a scene-level cell-plane cache: slices the window's
   // cells out of `plane`, then runs only the cheap per-window tail of
@@ -137,9 +138,6 @@ class HdHogExtractor {
   // and the extractor's stored tables. (origin_x, origin_y) is the window's
   // top-left pixel in the plane's scene; throws std::invalid_argument when
   // the plane geometry mismatches this extractor or the origin is off-grid.
-  SlotRecord slot_record_from_plane(const CellPlane& plane,
-                                    std::size_t origin_x,
-                                    std::size_t origin_y) const;
   core::Hypervector extract_from_plane(const CellPlane& plane,
                                        std::size_t origin_x,
                                        std::size_t origin_y,
@@ -283,10 +281,7 @@ class HdHogExtractor {
       double norm_scale, std::vector<const core::Hypervector*>& hvs,
       std::vector<double>& values) const;
 
-  // The two cell_raw_values implementations (see the public overload doc).
-  void cell_raw_values_reference(const image::Image& img, std::size_t x0,
-                                 std::size_t y0, core::StochasticContext& ctx,
-                                 double* out) const;
+  // The fused cell kernel (see the batched cell_raw_values overload).
   void cell_raw_values_fused(const image::Image& img,
                              const LevelIndexPlane* levels, std::size_t x0,
                              std::size_t y0, core::StochasticContext& ctx,

@@ -1,9 +1,9 @@
 #pragma once
 
-// Detection result value types, split out of sliding_window.hpp /
-// multiscale.hpp so the public facade (api/detector.hpp) and the serving
-// layer (serve/server.hpp) can name results without pulling the pipeline
-// machinery. The scan/merge functions stay with their engines.
+// Detection result value types, kept apart from the scan engines so the
+// public facade (api/detector.hpp) and the serving layer (serve/server.hpp)
+// can name results without pulling the pipeline machinery. The scan/merge
+// functions stay with their engines.
 
 #include <cstddef>
 #include <stdexcept>

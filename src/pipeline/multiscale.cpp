@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
+#include <vector>
 
 #include "image/transform.hpp"
 
@@ -85,6 +87,55 @@ image::RgbImage render_detections(const image::Image& scene,
   return rgb;
 }
 
+image::RgbImage render_overlay(const image::Image& scene,
+                               const DetectionMap& map, int positive_class) {
+  if (map.window == 0 || map.stride == 0) {
+    throw std::invalid_argument("render_overlay: zero window or stride");
+  }
+  // The last window's far edge bounds every other window's; compared in
+  // the division form so no product can overflow.
+  const auto fits = [&map](std::size_t steps, std::size_t extent) {
+    return steps == 0 || (map.window <= extent &&
+                          steps - 1 <= (extent - map.window) / map.stride);
+  };
+  if (!fits(map.steps_x, scene.width()) || !fits(map.steps_y, scene.height())) {
+    throw std::invalid_argument(
+        "render_overlay: map windows outside the scene");
+  }
+  if (map.predictions.size() != map.steps_x * map.steps_y) {
+    throw std::invalid_argument(
+        "render_overlay: predictions do not match the map's steps");
+  }
+  image::RgbImage rgb = image::to_rgb(scene);
+  // Coverage mask first, then one tint pass: overlapping positive windows
+  // must not stack the tint (repeated 0.6 darkening used to black out dense
+  // detection clusters instead of highlighting them).
+  std::vector<std::uint8_t> covered(rgb.width * rgb.height, 0);
+  for (std::size_t sy = 0; sy < map.steps_y; ++sy) {
+    for (std::size_t sx = 0; sx < map.steps_x; ++sx) {
+      if (map.predictions[sy * map.steps_x + sx] != positive_class) continue;
+      for (std::size_t dy = 0; dy < map.window; ++dy) {
+        const std::size_t row = (sy * map.stride + dy) * rgb.width;
+        for (std::size_t dx = 0; dx < map.window; ++dx) {
+          covered[row + sx * map.stride + dx] = 1;
+        }
+      }
+    }
+  }
+  // Blue tint over the detected windows (paper Fig 6 coloring), each covered
+  // pixel tinted exactly once.
+  for (std::size_t y = 0; y < rgb.height; ++y) {
+    for (std::size_t x = 0; x < rgb.width; ++x) {
+      if (!covered[y * rgb.width + x]) continue;
+      auto& px = rgb.at(x, y);
+      px[0] = static_cast<std::uint8_t>(px[0] * 0.6);
+      px[1] = static_cast<std::uint8_t>(px[1] * 0.6);
+      px[2] = static_cast<std::uint8_t>(std::min(255.0, px[2] * 0.6 + 100.0));
+    }
+  }
+  return rgb;
+}
+
 ScalePyramid build_pyramid(const image::Image& scene, std::size_t window,
                            const std::vector<double>& scales) {
   ScalePyramid pyramid;
@@ -101,82 +152,29 @@ ScalePyramid build_pyramid(const image::Image& scene, std::size_t window,
   return pyramid;
 }
 
-MultiScaleDetector::MultiScaleDetector(std::shared_ptr<HdFacePipeline> pipeline,
-                                       std::size_t window,
-                                       const MultiScaleConfig& config)
-    : pipeline_(std::move(pipeline)), window_(window), config_(config) {
-  if (!pipeline_) {
-    throw std::invalid_argument("MultiScaleDetector: null pipeline");
-  }
-  if (window == 0) throw std::invalid_argument("MultiScaleDetector: window 0");
+std::vector<Detection> detect_multiscale(HdFacePipeline& pipeline,
+                                         const image::Image& scene,
+                                         std::size_t window,
+                                         const MultiScaleConfig& config,
+                                         int positive_class,
+                                         const ParallelDetectConfig& engine) {
+  if (window == 0) throw std::invalid_argument("detect_multiscale: window 0");
   if (config.scales.empty()) {
-    throw std::invalid_argument("MultiScaleDetector: no scales");
+    throw std::invalid_argument("detect_multiscale: no scales");
   }
-  for (double s : config.scales) {
-    if (s <= 0.0 || s > 1.0) {
-      throw std::invalid_argument("MultiScaleDetector: scales must be in (0, 1]");
+  for (const double s : config.scales) {
+    if (!(s > 0.0 && s <= 1.0)) {  // NaN fails too
+      throw std::invalid_argument(
+          "detect_multiscale: scales must be in (0, 1]");
     }
   }
-}
-
-MultiScaleDetector::MultiScaleDetector(HdFacePipeline& pipeline,
-                                       std::size_t window,
-                                       const MultiScaleConfig& config)
-    : MultiScaleDetector(
-          std::shared_ptr<HdFacePipeline>(&pipeline, [](HdFacePipeline*) {}),
-          window, config) {}
-
-std::vector<Detection> MultiScaleDetector::merge_scales(
-    const ScalePyramid& pyramid, const std::vector<DetectionMap>& maps) const {
-  std::vector<Detection> all;
-  for (std::size_t level = 0; level < maps.size(); ++level) {
-    const double scale = pyramid.scales[level];
-    const DetectionMap& map = maps[level];
-    for (std::size_t sy = 0; sy < map.steps_y; ++sy) {
-      for (std::size_t sx = 0; sx < map.steps_x; ++sx) {
-        const std::size_t idx = sy * map.steps_x + sx;
-        if (map.predictions[idx] != 1) continue;
-        if (map.scores[idx] < config_.score_threshold) continue;
-        Detection d;
-        // Map back to scene coordinates.
-        d.x = static_cast<std::size_t>(
-            std::lround(static_cast<double>(sx * config_.stride) / scale));
-        d.y = static_cast<std::size_t>(
-            std::lround(static_cast<double>(sy * config_.stride) / scale));
-        d.size = static_cast<std::size_t>(
-            std::lround(static_cast<double>(window_) / scale));
-        d.score = map.scores[idx];
-        all.push_back(d);
-      }
-    }
-  }
-  auto kept = non_max_suppression(std::move(all), config_.iou_threshold);
-  std::sort(kept.begin(), kept.end(), detection_before);
-  return kept;
-}
-
-std::vector<Detection> MultiScaleDetector::detect(const image::Image& scene) {
-  const ScalePyramid pyramid = build_pyramid(scene, window_, config_.scales);
-  SlidingWindowDetector single(pipeline_, window_, config_.stride);
-  std::vector<DetectionMap> maps;
-  maps.reserve(pyramid.levels.size());
-  for (const auto& level : pyramid.levels) maps.push_back(single.detect(level));
-  return merge_scales(pyramid, maps);
-}
-
-std::vector<Detection> MultiScaleDetector::detect(
-    const image::Image& scene, const ParallelDetectConfig& engine) {
   // The pyramid is the per-scale resized-image cache: each level is resized
   // once here and then shared read-only by every chunk the engine dispatches.
-  const ScalePyramid pyramid = build_pyramid(scene, window_, config_.scales);
-  std::vector<DetectionMap> maps;
-  maps.reserve(pyramid.levels.size());
+  const ScalePyramid pyramid = build_pyramid(scene, window, config.scales);
+  std::vector<Detection> boxes;
   // Levels run sequentially, windows within a level in parallel: window work
   // dominates (levels are few, windows are thousands), and this keeps every
-  // level's result bit-identical to its own single-level scan. Each level
-  // scans under its own scale_index so the cell-plane encode mode draws an
-  // independent deterministic stream per pyramid level (same-sized levels
-  // would otherwise share cell seeds).
+  // level's result bit-identical to its own single-level scan.
   for (std::size_t level = 0; level < pyramid.levels.size(); ++level) {
     ParallelDetectConfig level_engine = engine;
     level_engine.scale_index = level;
@@ -184,20 +182,32 @@ std::vector<Detection> MultiScaleDetector::detect(
     // both the per-scale breakdown and the merged scan total.
     CascadeStats level_stats;
     if (engine.cascade != nullptr) level_engine.cascade_stats = &level_stats;
-    maps.push_back(detect_windows_parallel(*pipeline_, pyramid.levels[level],
-                                           window_, config_.stride, 1,
-                                           level_engine));
+    const DetectionMap map =
+        detect_windows_parallel(pipeline, pyramid.levels[level], window,
+                                config.stride, positive_class, level_engine);
     if (engine.cascade != nullptr) {
       if (engine.cascade_per_scale) engine.cascade_per_scale->push_back(level_stats);
       if (engine.cascade_stats) engine.cascade_stats->merge(level_stats);
     }
+    // Map the level's boxes back to scene coordinates.
+    const double scale = pyramid.scales[level];
+    const auto to_scene = [scale](std::size_t v) {
+      return static_cast<std::size_t>(
+          std::lround(static_cast<double>(v) / scale));
+    };
+    for (std::size_t sy = 0; sy < map.steps_y; ++sy) {
+      for (std::size_t sx = 0; sx < map.steps_x; ++sx) {
+        const std::size_t idx = sy * map.steps_x + sx;
+        if (map.predictions[idx] != positive_class) continue;
+        if (map.scores[idx] < config.score_threshold) continue;
+        boxes.push_back(Detection{to_scene(sx * config.stride),
+                                  to_scene(sy * config.stride),
+                                  to_scene(window), map.scores[idx]});
+      }
+    }
   }
-  return merge_scales(pyramid, maps);
-}
-
-image::RgbImage MultiScaleDetector::render(
-    const image::Image& scene, const std::vector<Detection>& detections) const {
-  return render_detections(scene, detections);
+  // non_max_suppression keeps its boxes in detection_before order.
+  return non_max_suppression(std::move(boxes), config.iou_threshold);
 }
 
 }  // namespace hdface::pipeline

@@ -1,19 +1,17 @@
 #pragma once
 
-// Multi-scale face detection: an image pyramid feeds the single-scale
-// sliding-window detector, detections are mapped back to scene coordinates
-// and merged with non-maximum suppression. This is the standard deployment
-// wrapper around the paper's Fig 6 single-scale scan (faces in real scenes
-// are not window-sized).
+// Multi-scale face detection: an image pyramid feeds the parallel scan
+// engine, detections are mapped back to scene coordinates and merged with
+// non-maximum suppression. This is the standard deployment wrapper around
+// the paper's Fig 6 single-scale scan (faces in real scenes are not
+// window-sized). Also the box and overlay rendering of scan results.
 
-#include <memory>
 #include <vector>
 
 #include "image/image.hpp"
 #include "image/pnm.hpp"
 #include "pipeline/detection.hpp"
 #include "pipeline/parallel_detect.hpp"
-#include "pipeline/sliding_window.hpp"
 
 namespace hdface::pipeline {
 
@@ -47,6 +45,14 @@ std::vector<Detection> map_detections(const DetectionMap& map,
 image::RgbImage render_detections(const image::Image& scene,
                                   const std::vector<Detection>& detections);
 
+// Tints every window of `map` predicted as `positive_class` blue on an RGB
+// copy of the scene (paper Fig 6 rendering); a pixel under several positive
+// windows is tinted once. Throws std::invalid_argument unless the map lies on
+// the scene: a zero window or stride, a last window outside the scene, or
+// predictions.size() != steps_x · steps_y.
+image::RgbImage render_overlay(const image::Image& scene,
+                               const DetectionMap& map, int positive_class = 1);
+
 struct MultiScaleConfig {
   // Pyramid scales applied to the *scene* (1.0 = native; 0.5 finds faces
   // twice the window size).
@@ -68,35 +74,19 @@ struct ScalePyramid {
 ScalePyramid build_pyramid(const image::Image& scene, std::size_t window,
                            const std::vector<double>& scales);
 
-class MultiScaleDetector {
- public:
-  MultiScaleDetector(std::shared_ptr<HdFacePipeline> pipeline,
-                     std::size_t window, const MultiScaleConfig& config);
-
-  // Deprecated: non-owning reference form (see SlidingWindowDetector).
-  MultiScaleDetector(HdFacePipeline& pipeline, std::size_t window,
-                     const MultiScaleConfig& config);
-
-  // All post-NMS detections, sorted by descending score. Serial seed path.
-  std::vector<Detection> detect(const image::Image& scene);
-
-  // Batched variant: every pyramid level runs through the parallel engine
-  // (bit-identical results at every thread count; deterministically different
-  // stream than the serial path — see parallel_detect.hpp).
-  std::vector<Detection> detect(const image::Image& scene,
-                                const ParallelDetectConfig& engine);
-
-  // Draws detection rectangles onto an RGB copy of the scene.
-  image::RgbImage render(const image::Image& scene,
-                         const std::vector<Detection>& detections) const;
-
- private:
-  std::vector<Detection> merge_scales(const ScalePyramid& pyramid,
-                                      const std::vector<DetectionMap>& maps) const;
-
-  std::shared_ptr<HdFacePipeline> pipeline_;
-  std::size_t window_;
-  MultiScaleConfig config_;
-};
+// Scans every pyramid level of `scene` through detect_windows_parallel, each
+// under its own scale_index (so same-sized levels draw independent cell
+// streams) and bit-identical at every thread count. Each level's windows
+// predicted as `positive_class` and scoring at least config.score_threshold
+// map back to scene coordinates; NMS at config.iou_threshold merges them.
+// Returns the kept boxes in detection_before order. With engine.cascade set,
+// engine.cascade_stats receives the merged stage counts and
+// engine.cascade_per_scale one entry per kept level. Throws
+// std::invalid_argument on a zero window, no scales or a scale outside
+// (0, 1], and on whatever detect_windows_parallel rejects.
+std::vector<Detection> detect_multiscale(
+    HdFacePipeline& pipeline, const image::Image& scene, std::size_t window,
+    const MultiScaleConfig& config, int positive_class,
+    const ParallelDetectConfig& engine = {});
 
 }  // namespace hdface::pipeline

@@ -44,7 +44,7 @@ struct ScanShard {
 // forked from the pipeline — bodies reseed it from a pure key before every
 // use, so the fork seed never reaches a result — counting into the shard's
 // OpCounter when the config carries a feature counter (`ops` is null
-// otherwise, which keeps the fused cell kernel armed).
+// otherwise).
 template <typename Body>
 void run_scan(const HdFacePipeline& pipeline,
               const ParallelDetectConfig& config, std::size_t total,

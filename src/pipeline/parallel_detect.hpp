@@ -26,11 +26,8 @@
 // gx, gy) for a cell — so a DetectionMap is a pure function of (pipeline
 // state, scene, config), independent of thread count, chunk boundaries and
 // scheduling: a 1-thread and an 8-thread run are bit-identical, and so are
-// eager and lazy planes. (Per-window seeding is a different — deterministic —
-// stream than the legacy serial SlidingWindowDetector::detect, whose RNG
-// chain threads through the whole scan; that path is kept for
-// compatibility.) Accounting is exact too: shard totals merge with integer
-// adds, so every counter is equal at every thread count.
+// eager and lazy planes. Accounting is exact too: shard totals merge with
+// integer adds, so every counter is equal at every thread count.
 
 #include <cstddef>
 #include <cstdint>
@@ -41,9 +38,9 @@
 #include "image/image.hpp"
 #include "noise/fault_model.hpp"
 #include "pipeline/cascade_types.hpp"
+#include "pipeline/detection.hpp"
 #include "pipeline/encode_mode.hpp"
 #include "pipeline/hdface_pipeline.hpp"
-#include "pipeline/sliding_window.hpp"
 #include "util/thread_pool.hpp"
 
 namespace hdface::pipeline {
@@ -73,7 +70,7 @@ struct ParallelDetectConfig {
   EncodeMode encode_mode = EncodeMode::kPerWindow;
   // Pyramid level this scan represents; part of the cell-plane reseed key so
   // every level of a multiscale scan draws an independent deterministic
-  // stream (MultiScaleDetector sets it per level). Ignored by kPerWindow.
+  // stream (detect_multiscale sets it per level). Ignored by kPerWindow.
   std::size_t scale_index = 0;
   // Cell-plane population strategy (see PlaneMode): kEager builds the whole
   // plane before the scan, kLazy materializes each cell on its first window
@@ -98,7 +95,7 @@ struct ParallelDetectConfig {
   // Optional cascade stage accounting, merged from per-chunk shards after
   // the scan (exact at any thread count; untouched when `cascade` is null).
   CascadeStats* cascade_stats = nullptr;
-  // Per-pyramid-level stage accounting: MultiScaleDetector appends one entry
+  // Per-pyramid-level stage accounting: detect_multiscale appends one entry
   // per kept scale, in pyramid order. Ignored by single-scale scans.
   std::vector<CascadeStats>* cascade_per_scale = nullptr;
 };

@@ -63,12 +63,6 @@ std::optional<api::Error> DetectionServer::check_admission_locked(
     counters_.rejected_invalid += 1;
     return std::move(*err);
   }
-  if (request.options.kernel_backend.has_value()) {
-    counters_.rejected_invalid += 1;
-    return api::Error::invalid_options(
-        "Request: kernel_backend is a process-global force and cannot be set "
-        "on served requests");
-  }
   if (request.scene.width() < detector_.window() ||
       request.scene.height() < detector_.window()) {
     counters_.rejected_invalid += 1;

@@ -159,9 +159,7 @@ class DetectionServer {
   DetectionServer(const DetectionServer&) = delete;
   DetectionServer& operator=(const DetectionServer&) = delete;
 
-  // Admission control; never blocks on detection work. Requests that set
-  // options.kernel_backend are rejected kInvalidOptions: the backend force
-  // is process-global and would race concurrent workers.
+  // Admission control; never blocks on detection work.
   Submission submit(api::Request request) HD_EXCLUDES(admission_mutex_);
 
   // Manual mode (start_workers == false): execute one queued request on the

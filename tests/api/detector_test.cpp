@@ -205,19 +205,23 @@ TEST(Detector, DetectMapBitIdenticalAcrossKernelBackends) {
   lazy_prescreen.cascade =
       pipeline::CascadeConfig{pipeline::CascadeMode::kCalibrated, table};
 
-  for (const DetectOptions& auto_backend :
+  for (const DetectOptions& opts :
        {per_window, cell_plane, pyramid, lazy_prescreen}) {
-    DetectOptions scalar = auto_backend;
-    scalar.kernel_backend = core::kernels::Backend::kScalar;
-    const auto a = det.detect_map(scene, scalar);
-    const auto b = det.detect_map(scene, auto_backend);
+    pipeline::DetectionMap a;
+    std::vector<pipeline::Detection> boxes_a;
+    {
+      const core::kernels::ScopedBackend scalar(
+          core::kernels::Backend::kScalar);
+      a = det.detect_map(scene, opts);
+      boxes_a = det.detect(scene, opts);
+    }
+    const auto b = det.detect_map(scene, opts);
     ASSERT_EQ(a.scores.size(), b.scores.size());
     for (std::size_t i = 0; i < a.scores.size(); ++i) {
       EXPECT_EQ(a.scores[i], b.scores[i]) << "window " << i;
       EXPECT_EQ(a.predictions[i], b.predictions[i]) << "window " << i;
     }
-    const auto boxes_a = det.detect(scene, scalar);
-    const auto boxes_b = det.detect(scene, auto_backend);
+    const auto boxes_b = det.detect(scene, opts);
     ASSERT_EQ(boxes_a.size(), boxes_b.size());
     for (std::size_t i = 0; i < boxes_a.size(); ++i) {
       EXPECT_EQ(boxes_a[i].x, boxes_b[i].x) << "box " << i;
@@ -226,21 +230,6 @@ TEST(Detector, DetectMapBitIdenticalAcrossKernelBackends) {
       EXPECT_EQ(boxes_a[i].score, boxes_b[i].score) << "box " << i;
     }
   }
-  // The scan-scoped force is restored once detect_map returns.
-  EXPECT_FALSE(core::kernels::forced_backend().has_value());
-}
-
-TEST(Detector, RejectsUnavailableKernelBackend) {
-  Detector det = small_face_detector();
-  image::Image scene(32, 32, 0.5f);
-  DetectOptions opts;
-#if defined(__aarch64__)
-  opts.kernel_backend = core::kernels::Backend::kAvx2;
-#else
-  opts.kernel_backend = core::kernels::Backend::kNeon;
-#endif
-  EXPECT_THROW((void)det.detect_map(scene, opts), std::invalid_argument);
-  EXPECT_FALSE(core::kernels::forced_backend().has_value());
 }
 
 TEST(Detector, MultiScaleOptionsUsePyramid) {
@@ -268,6 +257,52 @@ TEST(Detector, MultiScaleOptionsUsePyramid) {
     EXPECT_LE(b.x + b.size, scene.width());
     EXPECT_LE(b.y + b.size, scene.height());
   }
+}
+
+TEST(Detector, MultiScaleHonorsPositiveClass) {
+  // A multi-scale scan boxes the windows predicted as options.positive_class
+  // and scores them with that class's cosine, so its native-scale boxes are
+  // windows of the single-scale map of the same class. (Multi-scale scans
+  // used to keep class 1 whatever the option said.)
+  dataset::FaceDatasetConfig data_cfg;
+  data_cfg.image_size = 16;
+  data_cfg.num_samples = 60;
+  Detector det = small_face_detector();
+  det.fit(dataset::make_face_dataset(data_cfg));
+  const image::Image scene(48, 48, 0.5f);
+
+  DetectOptions single;
+  single.threads = 1;
+  single.positive_class = 0;
+  const auto map = det.detect_map(scene, single);
+  DetectOptions multi = single;
+  multi.scales = {1.0, 0.75};
+  const auto boxes = det.detect(scene, multi);
+  std::size_t native = 0;
+  for (const auto& b : boxes) {
+    if (b.size != 16) continue;
+    ++native;
+    const std::size_t idx = (b.y / 8) * map.steps_x + b.x / 8;
+    SCOPED_TRACE(testing::Message() << "box at (" << b.x << "," << b.y << ")");
+    EXPECT_EQ(map.predictions[idx], 0);
+    EXPECT_EQ(map.scores[idx], b.score);
+  }
+  EXPECT_GT(native, 0u);
+}
+
+TEST(Detector, RenderOverlayRejectsMapOffTheScene) {
+  // A 3×3-step map (window 16, stride 8) spans 32 px: on a 16×16 scene it
+  // is refused, not rendered past the overlay's buffer.
+  const Detector det = small_face_detector();
+  pipeline::DetectionMap map;
+  map.window = 16;
+  map.stride = 8;
+  map.steps_x = 3;
+  map.steps_y = 3;
+  map.predictions.assign(9, 1);
+  map.scores.assign(9, 0.5);
+  EXPECT_THROW((void)det.render_overlay(image::Image(16, 16, 0.5f), map),
+               std::invalid_argument);
 }
 
 TEST(Detector, EmotionWorkloadSevenClasses) {

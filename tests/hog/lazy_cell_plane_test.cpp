@@ -1,9 +1,9 @@
 // Unit suite for the lazy-plane building blocks (DESIGN.md §14): the
 // once-per-cell materialization gate (single-threaded semantics and the
 // concurrent fill-exactly-once contract), overflow-checked window_on_grid
-// geometry, and bit-identity of the fused batched cell kernel against the
-// reference per-pixel chain (with and without a precomputed level-index
-// plane). The pipeline-level lazy-vs-eager property suite lives in
+// geometry, and bit- and op-count identity of the fused batched cell kernel
+// against the reference per-pixel chain (with and without a precomputed
+// level-index plane). The pipeline-level lazy-vs-eager property suite lives in
 // tests/pipeline/lazy_plane_test.cpp.
 
 #include "hog/lazy_cell_plane.hpp"
@@ -137,7 +137,9 @@ TEST(LazyCellPlane, ConcurrentEnsureRunsEachFillExactlyOnce) {
 
 TEST(FusedCellKernel, BitIdenticalToReferenceChain) {
   // Every usable kernel backend, at D = 4096 (the deployed width), 1024 and
-  // 576 (9 words: the SIMD backends' scalar fallback).
+  // 576 (9 words: the SIMD backends' scalar fallback). The fused kernel must
+  // write the reference chain's doubles and charge an attached op counter
+  // exactly the reference chain's op counts.
   for (const core::kernels::KernelTable* t : core::kernels::compiled_tables()) {
     if (!core::kernels::backend_supported(t->backend)) continue;
     const core::kernels::ScopedBackend scoped(t->backend);
@@ -170,12 +172,17 @@ TEST(FusedCellKernel, BitIdenticalToReferenceChain) {
           // Identical reseed per variant: any difference is the
           // implementation, not the stream.
           const std::uint64_t seed = 0x1234 + cx * 17 + cy;
+          core::OpCounter ref_ops;
           auto ref_ctx = ctx.fork(seed);
-          hd.cell_raw_values(img, nullptr, cx * 4, cy * 4, ref_ctx, reference,
-                             /*force_reference=*/true);
+          ref_ctx.set_counter(&ref_ops);
+          hd.cell_raw_values_reference(img, cx * 4, cy * 4, ref_ctx, reference);
+          core::OpCounter fused_ops;
           auto fused_ctx = ctx.fork(seed);
+          fused_ctx.set_counter(&fused_ops);
           hd.cell_raw_values(img, nullptr, cx * 4, cy * 4, fused_ctx, fused);
+          core::OpCounter plane_ops;
           auto plane_ctx = ctx.fork(seed);
+          plane_ctx.set_counter(&plane_ops);
           hd.cell_raw_values(img, &levels, cx * 4, cy * 4, plane_ctx,
                              fused_with_levels);
           for (std::size_t b = 0; b < 8; ++b) {
@@ -183,6 +190,15 @@ TEST(FusedCellKernel, BitIdenticalToReferenceChain) {
                 << "cell (" << cx << "," << cy << ") bin " << b;
             EXPECT_EQ(reference[b], fused_with_levels[b])
                 << "cell (" << cx << "," << cy << ") bin " << b << " (levels)";
+          }
+          EXPECT_GT(ref_ops.total(), 0u);
+          for (std::size_t k = 0; k < core::kOpKindCount; ++k) {
+            const auto kind = static_cast<core::OpKind>(k);
+            EXPECT_EQ(ref_ops.get(kind), fused_ops.get(kind))
+                << "cell (" << cx << "," << cy << ") " << op_kind_name(kind);
+            EXPECT_EQ(ref_ops.get(kind), plane_ops.get(kind))
+                << "cell (" << cx << "," << cy << ") " << op_kind_name(kind)
+                << " (levels)";
           }
         }
       }

@@ -414,7 +414,6 @@ TEST(Cascade, MultiscalePerScaleStatsMergeToTheScanTotal) {
   MultiScaleConfig ms;
   ms.scales = {1.0, 0.5};
   ms.stride = CascadeFixture::kStride;
-  MultiScaleDetector det(f.pipeline, CascadeFixture::kWindow, ms);
   ParallelDetectConfig engine;
   engine.threads = 1;
   engine.encode_mode = EncodeMode::kCellPlane;
@@ -423,7 +422,8 @@ TEST(Cascade, MultiscalePerScaleStatsMergeToTheScanTotal) {
   std::vector<CascadeStats> per_scale;
   engine.cascade_stats = &total;
   engine.cascade_per_scale = &per_scale;
-  (void)det.detect(f.scenes[0], engine);
+  (void)detect_multiscale(f.pipeline, f.scenes[0], CascadeFixture::kWindow, ms,
+                          1, engine);
   ASSERT_EQ(per_scale.size(), 2u);  // both pyramid levels fit the window
   CascadeStats merged;
   for (const auto& s : per_scale) merged.merge(s);

@@ -263,14 +263,13 @@ TEST(CellPlaneDetect, FeatureCounterTotalsMatchAcrossThreadCounts) {
 
 TEST(CellPlaneDetect, MultiScaleIsThreadCountInvariant) {
   auto& f = fixture();
-  auto shared =
-      std::shared_ptr<HdFacePipeline>(&f.pipeline, [](HdFacePipeline*) {});
   MultiScaleConfig ms;
   ms.scales = {1.0, 0.75};
   ms.stride = 8;
-  MultiScaleDetector det(shared, 16, ms);
-  const auto a = det.detect(f.scene, plane_config(1));
-  const auto b = det.detect(f.scene, plane_config(4));
+  const auto a = detect_multiscale(f.pipeline, f.scene, 16, ms, 1,
+                                   plane_config(1));
+  const auto b = detect_multiscale(f.pipeline, f.scene, 16, ms, 1,
+                                   plane_config(4));
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].x, b[i].x);

@@ -1,5 +1,6 @@
 #include "pipeline/multiscale.hpp"
 
+#include <cmath>
 #include <stdexcept>
 
 #include <gtest/gtest.h>
@@ -100,11 +101,15 @@ HdFaceConfig detector_config() {
 
 TEST(MultiScale, ValidatesConfig) {
   HdFacePipeline pipe(detector_config(), 16, 16, 2);
+  const image::Image scene(32, 32, 0.5f);
   MultiScaleConfig cfg;
+  EXPECT_THROW(detect_multiscale(pipe, scene, 0, cfg, 1), std::invalid_argument);
   cfg.scales = {};
-  EXPECT_THROW(MultiScaleDetector(pipe, 16, cfg), std::invalid_argument);
+  EXPECT_THROW(detect_multiscale(pipe, scene, 16, cfg, 1), std::invalid_argument);
   cfg.scales = {1.5};
-  EXPECT_THROW(MultiScaleDetector(pipe, 16, cfg), std::invalid_argument);
+  EXPECT_THROW(detect_multiscale(pipe, scene, 16, cfg, 1), std::invalid_argument);
+  cfg.scales = {1.0, std::nan("")};
+  EXPECT_THROW(detect_multiscale(pipe, scene, 16, cfg, 1), std::invalid_argument);
 }
 
 TEST(MultiScale, FindsOversizedFaceThroughPyramid) {
@@ -125,8 +130,7 @@ TEST(MultiScale, FindsOversizedFaceThroughPyramid) {
   MultiScaleConfig cfg;
   cfg.scales = {1.0, 0.5};
   cfg.stride = 8;
-  MultiScaleDetector det(pipe, 16, cfg);
-  const auto detections = det.detect(scene);
+  const auto detections = detect_multiscale(pipe, scene, 16, cfg, 1);
   bool found_large = false;
   for (const auto& d : detections) {
     if (d.size >= 28 && box_iou(d, Detection{16, 16, 32, 1.0}) > 0.2) {
@@ -137,11 +141,8 @@ TEST(MultiScale, FindsOversizedFaceThroughPyramid) {
 }
 
 TEST(MultiScale, RenderMarksBoxes) {
-  HdFacePipeline pipe(detector_config(), 16, 16, 2);
-  MultiScaleConfig cfg;
-  MultiScaleDetector det(pipe, 16, cfg);
   image::Image scene(32, 32, 0.5f);
-  const auto rgb = det.render(scene, {{4, 4, 10, 0.9}});
+  const auto rgb = render_detections(scene, {{4, 4, 10, 0.9}});
   // Box corner pixel tinted blue.
   EXPECT_GT(rgb.at(4, 4)[2], rgb.at(20, 20)[2]);
 }

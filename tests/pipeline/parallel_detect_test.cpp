@@ -98,8 +98,7 @@ TEST(ParallelDetect, BitIdenticalAcrossThreadCounts) {
 
 TEST(ParallelDetect, RepeatedCallsAreIdentical) {
   // Per-window seeding makes the engine a pure function of its inputs: two
-  // scans of the same scene must match exactly, unlike the legacy serial path
-  // whose RNG chain advances across calls.
+  // scans of the same scene must match exactly.
   auto& f = fixture();
   ParallelDetectConfig cfg;
   cfg.threads = 2;
@@ -127,18 +126,6 @@ TEST(ParallelDetect, FeatureCounterTotalsMatchAcrossThreadCounts) {
           << thread_counts[i] << " threads";
     }
   }
-}
-
-TEST(ParallelDetect, SlidingWindowDetectorParallelOverloadMatchesEngine) {
-  auto& f = fixture();
-  auto shared = std::shared_ptr<HdFacePipeline>(&f.pipeline,
-                                                [](HdFacePipeline*) {});
-  SlidingWindowDetector det(shared, 16, 8);
-  ParallelDetectConfig cfg;
-  cfg.threads = 2;
-  const auto via_detector = det.detect(f.scene, cfg);
-  const auto via_engine = detect_windows_parallel(f.pipeline, f.scene, 16, 8, 1, cfg);
-  expect_maps_identical(via_detector, via_engine);
 }
 
 TEST(DetectionMap, AccessorsAreBoundsChecked) {
@@ -185,19 +172,16 @@ TEST(MapDetections, CollapsesNeighborsAndThresholds) {
 
 TEST(MultiScale, ParallelDetectIsThreadCountInvariant) {
   auto& f = fixture();
-  auto shared = std::shared_ptr<HdFacePipeline>(&f.pipeline,
-                                                [](HdFacePipeline*) {});
   MultiScaleConfig ms;
   ms.scales = {1.0, 0.75};
   ms.stride = 8;
-  MultiScaleDetector det(shared, 16, ms);
   ParallelDetectConfig one;
   one.threads = 1;
   ParallelDetectConfig many;
   many.threads = 4;
   many.min_chunk = 1;
-  const auto a = det.detect(f.scene, one);
-  const auto b = det.detect(f.scene, many);
+  const auto a = detect_multiscale(f.pipeline, f.scene, 16, ms, 1, one);
+  const auto b = detect_multiscale(f.pipeline, f.scene, 16, ms, 1, many);
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].x, b[i].x);

@@ -199,22 +199,14 @@ TEST(DetectionServer, TypedRejectionOfInvalidRequests) {
   ASSERT_FALSE(s.admitted());
   EXPECT_EQ(s.rejected->code, api::ErrorCode::kInvalidOptions);
 
-  // kernel_backend is a process-global force: never valid on a served
-  // request, even when the backend itself is available.
-  api::Request forced_backend = valid_request(2);
-  forced_backend.options.kernel_backend = core::kernels::Backend::kScalar;
-  s = server.submit(std::move(forced_backend));
-  ASSERT_FALSE(s.admitted());
-  EXPECT_EQ(s.rejected->code, api::ErrorCode::kInvalidOptions);
-
-  api::Request tiny_scene = valid_request(3);
+  api::Request tiny_scene = valid_request(2);
   tiny_scene.scene = image::Image(kWindow / 2, kWindow / 2, 0.5f);
   s = server.submit(std::move(tiny_scene));
   ASSERT_FALSE(s.admitted());
   EXPECT_EQ(s.rejected->code, api::ErrorCode::kInvalidOptions);
 
   const auto stats = server.stats();
-  EXPECT_EQ(stats.counters.rejected_invalid, 4u);
+  EXPECT_EQ(stats.counters.rejected_invalid, 3u);
   EXPECT_EQ(stats.counters.admitted, 0u);
   EXPECT_EQ(stats.queue_depth, 0u);  // invalid requests never queue
   EXPECT_TRUE(stats.conserved());
