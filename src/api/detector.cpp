@@ -16,10 +16,9 @@ namespace hdface::api {
 
 namespace {
 
-// Options validation shared by every detect entry point: the Request path
-// returns the Error, the legacy wrappers throw it.
-void validate_or_throw(const DetectOptions& options) {
-  if (auto err = validate(options)) throw InvalidOptionsError(std::move(*err));
+// The legacy wrappers throw an options Error as InvalidOptionsError.
+void throw_if_invalid(std::optional<Error> err) {
+  if (err) throw InvalidOptionsError(std::move(*err));
 }
 
 // The engine config of one call. `cascade` is the per-call staged scorer
@@ -102,9 +101,28 @@ int Detector::predict(const image::Image& window_img) {
   return pipeline_->predict(window_img);
 }
 
+std::optional<Error> Detector::check_options(
+    const DetectOptions& options) const {
+  if (auto err = validate(options)) return err;
+  if (auto why =
+          pipeline::positive_class_error(*pipeline_, options.positive_class)) {
+    return Error::invalid_options("DetectOptions: " + *why);
+  }
+  return std::nullopt;
+}
+
+std::optional<Error> Detector::check(const Request& request) const {
+  if (auto err = check_options(request.options)) return err;
+  if (request.scene.width() < window_ || request.scene.height() < window_) {
+    return Error::invalid_options(
+        "Request: scene smaller than the detector window");
+  }
+  return std::nullopt;
+}
+
 pipeline::DetectionMap Detector::detect_map(const image::Image& scene,
                                             const DetectOptions& options) {
-  validate_or_throw(options);
+  throw_if_invalid(check_options(options));
   return scan_map(*pipeline_, scene, window_, options);
 }
 
@@ -136,15 +154,12 @@ std::vector<pipeline::Detection> Detector::detect_validated(
 
 std::vector<pipeline::Detection> Detector::detect(const image::Image& scene,
                                                   const DetectOptions& options) {
-  validate_or_throw(options);
+  throw_if_invalid(check_options(options));
   return detect_validated(scene, options);
 }
 
 Outcome<Response> Detector::detect(const Request& request) {
-  if (auto err = validate(request.options)) return std::move(*err);
-  if (request.scene.width() < window_ || request.scene.height() < window_) {
-    return Error::invalid_options("Request: scene smaller than the detector window");
-  }
+  if (auto err = check(request)) return std::move(*err);
   Response response;
   response.id = request.id;
   response.tenant = request.tenant;

@@ -37,6 +37,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "api/types.hpp"
@@ -81,6 +82,13 @@ class Detector {
   // detect(request.scene, request.options).
   Outcome<Response> detect(const Request& request);
 
+  // The request check shared by detect(Request) and serve::DetectionServer
+  // admission: api::validate(request.options), plus what needs this
+  // detector — options.positive_class must name one of the classifier's
+  // classes, and the scene must hold one window. Returns the typed
+  // kInvalidOptions Error, or nullopt when the request can run.
+  std::optional<Error> check(const Request& request) const;
+
   // Single-scale batched scan: the full per-window map (paper Fig 6 shape).
   // Uses options.threads/stride; scales/nms do not apply to the map view.
   // Throws InvalidOptionsError (a std::invalid_argument) on bad options.
@@ -112,6 +120,9 @@ class Detector {
   }
 
  private:
+  // api::validate(options) plus the positive_class range check.
+  std::optional<Error> check_options(const DetectOptions& options) const;
+
   std::vector<pipeline::Detection> detect_validated(const image::Image& scene,
                                                     const DetectOptions& options);
 

@@ -45,7 +45,8 @@ namespace hdface::api {
 enum class ErrorCode : std::uint8_t {
   kOk = 0,
   // DetectOptions failed validate(): empty scales, scale outside (0,1],
-  // stride 0, non-finite thresholds, or a scene smaller than the window.
+  // stride 0, non-finite thresholds, a positive_class outside the model's
+  // classes, or a scene smaller than the window.
   kInvalidOptions,
   // Admission control: the bounded request queue is at capacity. The caller
   // should back off and retry (the serving layer's backpressure signal).
@@ -248,8 +249,10 @@ struct DetectOptions {
 // trip deep inside a scan: a calibrated cascade without kCellPlane, with a
 // fault_plan, with a positive_class mismatched against its table, or with a
 // structurally malformed table. Returns nullopt when the options are usable.
-// Shared by the Request path (typed Error), the legacy wrappers
-// (InvalidOptionsError) and serving admission (rejected before queueing).
+// It cannot see a model, so Detector runs it inside its own check, which
+// adds the positive_class range; that check serves the Request path (typed
+// Error), the legacy wrappers (InvalidOptionsError) and serving admission
+// (rejected before queueing).
 std::optional<Error> validate(const DetectOptions& options);
 
 // ---------------------------------------------------------------------------

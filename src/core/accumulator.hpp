@@ -9,6 +9,7 @@
 // (paper §5), where adaptive updates add weighted bipolar queries.
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/hypervector.hpp"
@@ -49,7 +50,8 @@ class Accumulator {
   Hypervector threshold(Rng& rng) const;
 
   // Cosine similarity with a bipolar view of a binary hypervector.
-  // Returns 0 for an all-zero accumulator.
+  // Returns 0 for an all-zero accumulator. Charges op_counter_ as
+  // dot_norm2_many does for one accumulator.
   double cosine(const Hypervector& v) const;
 
   // L2 norm of the counter vector.
@@ -62,5 +64,23 @@ class Accumulator {
   std::vector<double> counts_;
   OpCounter* op_counter_ = nullptr;
 };
+
+// Fused similarity pass of one query against many accumulators (the
+// learner's per-update scoring): for every c,
+//   dots[c]   = Σ_i accs[c].count(i) · bipolar(v)_i
+//   norms2[c] = Σ_i accs[c].count(i)²
+// read word by word from v. Each sum runs in ascending i, the order of the
+// element-wise definition and of norm(): IEEE addition is not associative,
+// so the sums are never split across dimensions, and every double is
+// bit-identical to the element-wise loops. When `counter` is set,
+// charges kFloatMul and kFloatAdd 2·dim per accumulator (cosine's charge).
+// Throws std::invalid_argument on a dimensionality or output-size mismatch.
+void dot_norm2_many(std::span<const Accumulator> accs, const Hypervector& v,
+                    std::span<double> dots, std::span<double> norms2,
+                    OpCounter* counter = nullptr);
+
+// dot / (‖counts‖ · ‖v‖) from one dot_norm2_many result (the bipolar query's
+// norm is √dim exactly); 0 for an all-zero accumulator.
+double cosine_from(double dot, double norm2, std::size_t dim);
 
 }  // namespace hdface::core

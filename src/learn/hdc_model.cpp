@@ -8,6 +8,12 @@
 
 namespace hdface::learn {
 
+namespace {
+constexpr const char* kWidthMismatch =
+    "scores: query hypervector width does not match the prototype width this "
+    "classifier was trained at";
+}  // namespace
+
 HdcClassifier::HdcClassifier(const HdcConfig& config)
     : config_(config), rng_(core::mix64(config.seed, 0xC1A55)) {
   if (config.classes < 2) throw std::invalid_argument("HdcClassifier: need >= 2 classes");
@@ -35,17 +41,19 @@ bool HdcClassifier::update(const core::Hypervector& feature, int label) {
     prototypes_[y].add(feature, config_.learning_rate);
     return true;
   }
-  const std::vector<double> s = scores(feature);
+  const FloatScores f = float_scores(feature);
+  const std::vector<double>& s = f.cosine;
   const auto pred = static_cast<std::size_t>(
       std::max_element(s.begin(), s.end()) - s.begin());
-  if (pred == y && prototypes_[y].norm() > 0.0) {
+  // norm2 > 0 exactly when norm() > 0: the same sum, before the sqrt.
+  if (pred == y && f.norm2[y] > 0.0) {
     // Correct and confident enough: memorize nothing (saturation control).
     return true;
   }
   // Reinforce the true class proportionally to how far it was from firing,
   // and push the confused class away symmetrically.
   prototypes_[y].add(feature, config_.learning_rate * (1.0 - s[y]));
-  if (pred != y && prototypes_[pred].norm() > 0.0) {
+  if (pred != y && f.norm2[pred] > 0.0) {
     prototypes_[pred].add(feature, -config_.learning_rate * (1.0 - s[pred]));
   }
   return pred == y;
@@ -66,23 +74,29 @@ void HdcClassifier::fit(const std::vector<core::Hypervector>& features,
   }
 }
 
-std::vector<double> HdcClassifier::scores(const core::Hypervector& feature) const {
-  HD_CHECK(feature.dim() == config_.dim,
-           "scores: query hypervector width does not match the prototype "
-           "width this classifier was trained at");
-  std::vector<double> s(config_.classes);
-  if (has_binary_override()) {
-    // Batched SoA similarity search: one kernel pass over the query's words
-    // against all class planes, then the δ = 1 − 2h/D readout.
-    const auto h = binary_block_.hamming_many(feature, counter_);
-    for (std::size_t c = 0; c < config_.classes; ++c) {
-      s[c] = 1.0 - 2.0 * static_cast<double>(h[c]) /
-                       static_cast<double>(config_.dim);
-    }
-    return s;
-  }
+HdcClassifier::FloatScores HdcClassifier::float_scores(
+    const core::Hypervector& feature) const {
+  HD_CHECK(feature.dim() == config_.dim, kWidthMismatch);
+  FloatScores f{std::vector<double>(config_.classes),
+                std::vector<double>(config_.classes)};
+  // f.cosine holds the dot products until the readout below.
+  core::dot_norm2_many(prototypes_, feature, f.cosine, f.norm2, counter_);
   for (std::size_t c = 0; c < config_.classes; ++c) {
-    s[c] = prototypes_[c].cosine(feature);
+    f.cosine[c] = core::cosine_from(f.cosine[c], f.norm2[c], config_.dim);
+  }
+  return f;
+}
+
+std::vector<double> HdcClassifier::scores(const core::Hypervector& feature) const {
+  if (!has_binary_override()) return float_scores(feature).cosine;
+  HD_CHECK(feature.dim() == config_.dim, kWidthMismatch);
+  // Batched SoA similarity search: one kernel pass over the query's words
+  // against all class planes, then the δ = 1 − 2h/D readout.
+  const auto h = binary_block_.hamming_many(feature, counter_);
+  std::vector<double> s(config_.classes);
+  for (std::size_t c = 0; c < config_.classes; ++c) {
+    s[c] = 1.0 - 2.0 * static_cast<double>(h[c]) /
+                     static_cast<double>(config_.dim);
   }
   return s;
 }

@@ -48,7 +48,9 @@ class HdcClassifier {
   // One adaptive update; returns whether the pre-update prediction was right.
   bool update(const core::Hypervector& feature, int label);
 
-  // Cosine similarity per class.
+  // Cosine similarity per class: one fused core::dot_norm2_many pass over
+  // the float prototypes, or the binary override's Hamming readout when one
+  // is set. Holds no mutable state, so concurrent scans may call it.
   std::vector<double> scores(const core::Hypervector& feature) const;
   int predict(const core::Hypervector& feature) const;
   std::vector<int> predict(const std::vector<core::Hypervector>& features) const;
@@ -100,6 +102,14 @@ class HdcClassifier {
   void set_counter(core::OpCounter* counter);
 
  private:
+  // The float path's one pass: per-class cosine, and each prototype's
+  // norm² (the sum cosine divides by), which update() reuses.
+  struct FloatScores {
+    std::vector<double> cosine;
+    std::vector<double> norm2;
+  };
+  FloatScores float_scores(const core::Hypervector& feature) const;
+
   HdcConfig config_;
   std::vector<core::Accumulator> prototypes_;
   std::vector<core::Hypervector> binary_override_;

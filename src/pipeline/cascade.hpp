@@ -120,9 +120,12 @@ struct CascadeCalibrationConfig {
   std::size_t window = 0;  // scan window (pixels)
   std::size_t stride = 0;  // scan stride (pixels)
   int positive_class = 1;
-  // Threads for the golden-map scans (the margins themselves are computed
-  // serially; results are identical at any setting).
-  std::size_t threads = 1;
+  // Threads for the golden-map scans and planes, as ParallelDetectConfig
+  // reads them: 0 = the global pool, 1 = serial, N = a call-local pool. The
+  // margins themselves are computed serially, so the table is byte-identical
+  // at any setting. The global pool is not re-entrant: call with 0 only
+  // from outside its tasks.
+  std::size_t threads = 0;
   // Calibrate a cell-subset prescreen (CascadeTable::prescreen_words): score
   // each window over only its even/even parity cells before stage 0. Requires
   // stride % cell_size == 0 (so the plane's grid step equals the cell size

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdint>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "image/transform.hpp"
@@ -158,6 +159,9 @@ std::vector<Detection> detect_multiscale(HdFacePipeline& pipeline,
                                          const MultiScaleConfig& config,
                                          int positive_class,
                                          const ParallelDetectConfig& engine) {
+  if (auto why = positive_class_error(pipeline, positive_class)) {
+    throw std::invalid_argument("detect_multiscale: " + *why);
+  }
   if (window == 0) throw std::invalid_argument("detect_multiscale: window 0");
   if (config.scales.empty()) {
     throw std::invalid_argument("detect_multiscale: no scales");

@@ -82,8 +82,9 @@ ScalePyramid build_pyramid(const image::Image& scene, std::size_t window,
 // Returns the kept boxes in detection_before order. With engine.cascade set,
 // engine.cascade_stats receives the merged stage counts and
 // engine.cascade_per_scale one entry per kept level. Throws
-// std::invalid_argument on a zero window, no scales or a scale outside
-// (0, 1], and on whatever detect_windows_parallel rejects.
+// std::invalid_argument on a positive_class outside the classes, a zero
+// window, no scales or a scale outside (0, 1], and on whatever
+// detect_windows_parallel rejects.
 std::vector<Detection> detect_multiscale(
     HdFacePipeline& pipeline, const image::Image& scene, std::size_t window,
     const MultiScaleConfig& config, int positive_class,

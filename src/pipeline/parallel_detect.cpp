@@ -345,7 +345,26 @@ void scan_lazy_plane(const HdFacePipeline& pipeline,
   }
 }
 
+void require_positive_class(const HdFacePipeline& pipeline,
+                            int positive_class, const char* entry) {
+  if (auto why = positive_class_error(pipeline, positive_class)) {
+    throw std::invalid_argument(std::string(entry) + ": " + *why);
+  }
+}
+
 }  // namespace
+
+std::optional<std::string> positive_class_error(const HdFacePipeline& pipeline,
+                                                int positive_class) {
+  const std::size_t classes = pipeline.classifier().config().classes;
+  if (positive_class >= 0 &&
+      static_cast<std::size_t>(positive_class) < classes) {
+    return std::nullopt;
+  }
+  return "positive_class " + std::to_string(positive_class) +
+         " outside the classifier's classes [0, " + std::to_string(classes) +
+         ")";
+}
 
 DetectionMap detect_windows_on_plane(HdFacePipeline& pipeline,
                                      const image::Image& scene,
@@ -353,6 +372,7 @@ DetectionMap detect_windows_on_plane(HdFacePipeline& pipeline,
                                      std::size_t window, std::size_t stride,
                                      int positive_class,
                                      const ParallelDetectConfig& config) {
+  require_positive_class(pipeline, positive_class, "detect_windows_on_plane");
   DetectionMap map = make_map_geometry(scene, window, stride);
   const hog::HdHogExtractor& extractor =
       require_hd_hog(pipeline, "detect_windows_on_plane");
@@ -384,6 +404,7 @@ DetectionMap detect_windows_parallel(HdFacePipeline& pipeline,
                                      std::size_t window, std::size_t stride,
                                      int positive_class,
                                      const ParallelDetectConfig& config) {
+  require_positive_class(pipeline, positive_class, "detect_windows_parallel");
   if (config.plane_mode == PlaneMode::kLazy &&
       config.encode_mode != EncodeMode::kCellPlane) {
     throw std::invalid_argument(

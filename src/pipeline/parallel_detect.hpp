@@ -31,6 +31,8 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "core/op_counter.hpp"
@@ -114,6 +116,14 @@ hog::CellPlane build_scene_cell_plane(HdFacePipeline& pipeline,
                                       std::size_t grid_step,
                                       const ParallelDetectConfig& config = {});
 
+// Why a scan cannot score `positive_class`, or nullopt when it can: every
+// scan reads classifier().scores()[positive_class], so it must name one of
+// the classifier's classes. Each scan entry throws std::invalid_argument with
+// this reason before any work; api::Detector returns it as a typed
+// kInvalidOptions Error.
+std::optional<std::string> positive_class_error(const HdFacePipeline& pipeline,
+                                                int positive_class);
+
 // Scan-stage entry for a PREBUILT cell plane: classify every window of the
 // scan grid against `plane` without re-encoding the scene. This is exactly
 // the post-plane half of the kCellPlane scan — a scan on a freshly built
@@ -123,9 +133,10 @@ hog::CellPlane build_scene_cell_plane(HdFacePipeline& pipeline,
 // exact comparisons, re-detection): the plane build is the scan's dominant
 // fixed cost, and this entry is how callers amortize it. `scene` supplies
 // only the scan-grid geometry (its pixels are not re-read). Throws
-// std::invalid_argument on zero geometry, a scene smaller than the window,
-// a plane whose cell/bin shape mismatches the pipeline's extractor, or a
-// plane too coarse/small to cover every window of the grid.
+// std::invalid_argument on a positive_class outside the classes, zero
+// geometry, a scene smaller than the window, a plane whose cell/bin shape
+// mismatches the pipeline's extractor, or a plane too coarse/small to cover
+// every window of the grid.
 DetectionMap detect_windows_on_plane(HdFacePipeline& pipeline,
                                      const image::Image& scene,
                                      const hog::CellPlane& plane,
@@ -135,9 +146,9 @@ DetectionMap detect_windows_on_plane(HdFacePipeline& pipeline,
 
 // Scan `scene` with `window`-sized windows at `stride`, classifying each with
 // the trained pipeline. Calls pipeline.prepare_concurrent() internally (the
-// one mutation, before any dispatch). Throws std::invalid_argument on zero
-// geometry, a scene smaller than the window, or a lazy plane or cascade
-// without kCellPlane.
+// one mutation, before any dispatch). Throws std::invalid_argument on a
+// positive_class outside the classes, zero geometry, a scene smaller than
+// the window, or a lazy plane or cascade without kCellPlane.
 DetectionMap detect_windows_parallel(HdFacePipeline& pipeline,
                                      const image::Image& scene,
                                      std::size_t window, std::size_t stride,

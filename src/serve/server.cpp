@@ -59,15 +59,9 @@ std::optional<api::Error> DetectionServer::check_admission_locked(
     counters_.rejected_shutdown += 1;
     return api::Error::shutdown("server is shutting down");
   }
-  if (auto err = api::validate(request.options)) {
+  if (auto err = detector_.check(request)) {
     counters_.rejected_invalid += 1;
     return std::move(*err);
-  }
-  if (request.scene.width() < detector_.window() ||
-      request.scene.height() < detector_.window()) {
-    counters_.rejected_invalid += 1;
-    return api::Error::invalid_options(
-        "Request: scene smaller than the detector window");
   }
   if (config_.per_tenant_inflight != 0) {
     const auto it = tenant_inflight_.find(request.tenant);

@@ -8,7 +8,7 @@
 //
 //   submit() ── admission ──► bounded MPMC queue ──► worker pool ──► future
 //                  │                                     │
-//                  ├─ validate(options)  → kInvalidOptions (typed, no queue)
+//                  ├─ Detector::check    → kInvalidOptions (typed, no queue)
 //                  ├─ per-tenant cap     → kTenantOverLimit
 //                  ├─ queue at capacity  → kQueueFull  (backpressure)
 //                  └─ shutting down      → kShutdown

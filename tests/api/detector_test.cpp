@@ -384,6 +384,37 @@ TEST(Detector, RequestPathReturnsTypedErrorsInsteadOfThrowing) {
   EXPECT_THROW((void)det.detect(tiny_scene.scene, opts), std::invalid_argument);
 }
 
+TEST(Detector, RejectsPositiveClassOutsideTheClasses) {
+  // positive_class indexes the 2-class score vector. Outside [0, 2) every
+  // entry point refuses it before scanning, instead of reading past the
+  // scores: typed kInvalidOptions on the Request path, InvalidOptionsError
+  // from the wrappers, single- and multi-scale.
+  Detector det = small_face_detector();
+  const image::Image scene(32, 32, 0.5f);
+  for (const int positive_class : {5, -1}) {
+    SCOPED_TRACE(testing::Message() << "positive_class " << positive_class);
+    Request request;
+    request.scene = scene;
+    request.options.threads = 1;
+    request.options.positive_class = positive_class;
+    ASSERT_TRUE(det.check(request).has_value());
+    EXPECT_EQ(det.check(request)->code, ErrorCode::kInvalidOptions);
+    const auto outcome = det.detect(request);
+    ASSERT_FALSE(outcome.ok());
+    EXPECT_EQ(outcome.error().code, ErrorCode::kInvalidOptions);
+
+    EXPECT_THROW((void)det.detect_map(scene, request.options),
+                 InvalidOptionsError);
+    DetectOptions multi = request.options;
+    multi.scales = {1.0, 0.5};
+    EXPECT_THROW((void)det.detect(scene, multi), InvalidOptionsError);
+  }
+  Request in_range;
+  in_range.scene = scene;
+  in_range.options.positive_class = 0;
+  EXPECT_FALSE(det.check(in_range).has_value());
+}
+
 TEST(Detector, CellPlaneFaultPlanNeedsNoSink) {
   // A call is not invalid for lack of an observer: a cell-plane fault-plan
   // scan validates without an encode-cache sink and returns exactly the map

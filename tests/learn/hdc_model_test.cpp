@@ -1,5 +1,10 @@
 #include "learn/hdc_model.hpp"
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <numeric>
 #include <stdexcept>
 
 #include <gtest/gtest.h>
@@ -183,6 +188,143 @@ TEST(HdcClassifier, DeterministicTraining) {
   m2.fit(task.features, task.labels);
   for (const auto& f : task.features) {
     EXPECT_EQ(m1.predict(f), m2.predict(f));
+  }
+}
+
+// Element-wise reference learner: cosine, norm and add read each dimension
+// through Hypervector::element, one class at a time, and charge the same ops.
+// HdcClassifier's fused word-wise pass must reproduce it bit for bit.
+struct ElementWiseLearner {
+  explicit ElementWiseLearner(const HdcConfig& cfg)
+      : config(cfg),
+        counts(cfg.classes, std::vector<double>(cfg.dim, 0.0)),
+        rng(core::mix64(cfg.seed, 0xC1A55)) {}
+
+  double cosine(std::size_t c, const core::Hypervector& v) {
+    double dot = 0.0;
+    double nrm = 0.0;
+    for (std::size_t i = 0; i < config.dim; ++i) {
+      dot += counts[c][i] * static_cast<double>(v.element(i));
+      nrm += counts[c][i] * counts[c][i];
+    }
+    ops.add(core::OpKind::kFloatMul, 2 * config.dim);
+    ops.add(core::OpKind::kFloatAdd, 2 * config.dim);
+    if (nrm == 0.0) return 0.0;
+    return dot / (std::sqrt(nrm) * std::sqrt(static_cast<double>(config.dim)));
+  }
+
+  double norm(std::size_t c) const {
+    double nrm = 0.0;
+    for (const double x : counts[c]) nrm += x * x;
+    return std::sqrt(nrm);
+  }
+
+  void add(std::size_t c, const core::Hypervector& v, double weight) {
+    for (std::size_t i = 0; i < config.dim; ++i) {
+      counts[c][i] += weight * static_cast<double>(v.element(i));
+    }
+    ops.add(core::OpKind::kIntAdd, config.dim);
+  }
+
+  std::vector<double> scores(const core::Hypervector& v) {
+    std::vector<double> s(config.classes);
+    for (std::size_t c = 0; c < config.classes; ++c) s[c] = cosine(c, v);
+    return s;
+  }
+
+  void update(const core::Hypervector& v, int label) {
+    const auto y = static_cast<std::size_t>(label);
+    if (!config.adaptive) {
+      add(y, v, config.learning_rate);
+      return;
+    }
+    const std::vector<double> s = scores(v);
+    const auto pred = static_cast<std::size_t>(
+        std::max_element(s.begin(), s.end()) - s.begin());
+    if (pred == y && norm(y) > 0.0) return;
+    add(y, v, config.learning_rate * (1.0 - s[y]));
+    if (pred != y && norm(pred) > 0.0) {
+      add(pred, v, -config.learning_rate * (1.0 - s[pred]));
+    }
+  }
+
+  void fit(const std::vector<core::Hypervector>& features,
+           const std::vector<int>& labels) {
+    std::vector<std::size_t> order(features.size());
+    std::iota(order.begin(), order.end(), 0);
+    for (std::size_t epoch = 0; epoch < config.epochs; ++epoch) {
+      for (std::size_t i = order.size(); i > 1; --i) {
+        std::swap(order[i - 1], order[rng.below(i)]);
+      }
+      for (const std::size_t idx : order) update(features[idx], labels[idx]);
+    }
+  }
+
+  HdcConfig config;
+  std::vector<std::vector<double>> counts;
+  core::Rng rng;
+  core::OpCounter ops;
+};
+
+void expect_bits_equal(const std::vector<double>& got,
+                       const std::vector<double>& want, const char* what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(got[i]),
+              std::bit_cast<std::uint64_t>(want[i]))
+        << what << " [" << i << "]: " << got[i] << " vs " << want[i];
+  }
+}
+
+TEST(HdcClassifier, FitMatchesElementWiseOracleBitForBit) {
+  // 1000 and 10000 end in a partial word (1000 % 64 = 40, 10000 % 64 = 16).
+  for (const std::size_t dim : {1000u, 4096u, 10000u}) {
+    for (const std::size_t classes : {2u, 7u}) {
+      for (const bool adaptive : {true, false}) {
+        SCOPED_TRACE(::testing::Message() << "dim " << dim << ", classes "
+                                          << classes << ", adaptive "
+                                          << adaptive);
+        const auto task = make_task(dim, classes, 5, 0.3, 50 + dim + classes);
+        HdcConfig cfg;
+        cfg.dim = dim;
+        cfg.classes = classes;
+        cfg.epochs = 3;
+        cfg.learning_rate = 0.75;
+        cfg.adaptive = adaptive;
+        HdcClassifier model(cfg);
+        core::OpCounter counter;
+        model.set_counter(&counter);
+        ElementWiseLearner oracle(cfg);
+
+        // All-zero model: every score is the oracle's (0.0).
+        expect_bits_equal(model.scores(task.features[0]),
+                          oracle.scores(task.features[0]), "untrained scores");
+        counter.reset();
+        oracle.ops.reset();
+
+        model.fit(task.features, task.labels);
+        oracle.fit(task.features, task.labels);
+        for (std::size_t c = 0; c < classes; ++c) {
+          expect_bits_equal(model.prototype(c).counts(), oracle.counts[c],
+                            "prototype counts");
+        }
+        for (std::size_t k = 0; k < core::kOpKindCount; ++k) {
+          EXPECT_EQ(counter.counts[k], oracle.ops.counts[k])
+              << core::op_kind_name(static_cast<core::OpKind>(k));
+        }
+        for (const std::size_t i : {std::size_t{0}, task.features.size() - 1}) {
+          const core::Hypervector& v = task.features[i];
+          const std::vector<double> want = oracle.scores(v);
+          expect_bits_equal(model.scores(v), want, "trained scores");
+          for (std::size_t c = 0; c < classes; ++c) {
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(model.prototype(c).cosine(v)),
+                      std::bit_cast<std::uint64_t>(want[c]));
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(model.prototype(c).norm()),
+                      std::bit_cast<std::uint64_t>(oracle.norm(c)));
+          }
+        }
+      }
+    }
   }
 }
 

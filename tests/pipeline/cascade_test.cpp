@@ -435,9 +435,15 @@ TEST(Cascade, MultiscalePerScaleStatsMergeToTheScanTotal) {
 
 TEST(Cascade, CalibrationIsByteDeterministic) {
   auto& f = fixture();
-  const CascadeTable again =
-      calibrate_cascade(f.pipeline, f.scenes, f.calibration);
-  EXPECT_EQ(cascade_table_to_text(f.table), cascade_table_to_text(again));
+  // The fixture calibrated at the default: the global pool.
+  ASSERT_EQ(f.calibration.threads, 0u);
+  for (const std::size_t threads : {1u, 4u, 0u}) {
+    CascadeCalibrationConfig cc = f.calibration;
+    cc.threads = threads;
+    EXPECT_EQ(cascade_table_to_text(f.table),
+              cascade_table_to_text(calibrate_cascade(f.pipeline, f.scenes, cc)))
+        << "threads " << threads;
+  }
 }
 
 TEST(Cascade, CalibratedTableHasTheConfiguredShape) {

@@ -70,6 +70,29 @@ TEST(ParallelDetect, ValidatesGeometry) {
       std::invalid_argument);
 }
 
+TEST(ParallelDetect, RejectsPositiveClassOutsideTheClasses) {
+  // Every scan reads scores()[positive_class]: each entry refuses a class
+  // outside the 2-class classifier before it scans.
+  auto& f = fixture();
+  ParallelDetectConfig cfg;
+  cfg.threads = 1;
+  const hog::CellPlane plane = build_scene_cell_plane(f.pipeline, f.scene, 4, cfg);
+  MultiScaleConfig ms;
+  ms.scales = {1.0, 0.5};
+  for (const int positive_class : {2, 5, -1}) {
+    SCOPED_TRACE(testing::Message() << "positive_class " << positive_class);
+    EXPECT_THROW(detect_windows_parallel(f.pipeline, f.scene, 16, 8,
+                                         positive_class, cfg),
+                 std::invalid_argument);
+    EXPECT_THROW(detect_windows_on_plane(f.pipeline, f.scene, plane, 16, 8,
+                                         positive_class, cfg),
+                 std::invalid_argument);
+    EXPECT_THROW(
+        detect_multiscale(f.pipeline, f.scene, 16, ms, positive_class, cfg),
+        std::invalid_argument);
+  }
+}
+
 TEST(ParallelDetect, MapGeometryMatchesStride) {
   auto& f = fixture();
   ParallelDetectConfig cfg;

@@ -205,8 +205,18 @@ TEST(DetectionServer, TypedRejectionOfInvalidRequests) {
   ASSERT_FALSE(s.admitted());
   EXPECT_EQ(s.rejected->code, api::ErrorCode::kInvalidOptions);
 
+  // positive_class indexes the 2-class score vector: outside [0, 2) it is
+  // refused at admission, before a worker could read past the scores.
+  for (const int positive_class : {5, -1}) {
+    api::Request bad_class = valid_request(3);
+    bad_class.options.positive_class = positive_class;
+    s = server.submit(std::move(bad_class));
+    ASSERT_FALSE(s.admitted()) << positive_class;
+    EXPECT_EQ(s.rejected->code, api::ErrorCode::kInvalidOptions);
+  }
+
   const auto stats = server.stats();
-  EXPECT_EQ(stats.counters.rejected_invalid, 3u);
+  EXPECT_EQ(stats.counters.rejected_invalid, 5u);
   EXPECT_EQ(stats.counters.admitted, 0u);
   EXPECT_EQ(stats.queue_depth, 0u);  // invalid requests never queue
   EXPECT_TRUE(stats.conserved());

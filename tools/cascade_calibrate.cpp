@@ -14,15 +14,18 @@
 //                     [--stride 4] [--scenes 3] [--scene-width 160]
 //                     [--scene-height 120] [--faces 2] [--slack 0.02]
 //                     [--stages 0.0625,0.25] [--seed 42] [--scene-seed 51966]
-//                     [--threads 1] [--background mixed]
+//                     [--threads 0] [--background mixed]
 //                     [--out cascade_table.txt]
 //
 // The defaults calibrate quickly; for a production-sharp table use the
 // benchmark model's recipe (hdbench/, tests/pipeline/fast_path_gates_test.cpp:
 // --dim 4096 --train 400 --epochs 30 --window 32 --stride 8 --slack 0.001
 // --stages 0.0625,0.125,0.25,0.5): rejection power is a property of the
-// classifier's margins, not of the cascade machinery.
+// classifier's margins, not of the cascade machinery. --threads 0 (the
+// default) scans on the global worker pool, 1 serially; the table is
+// byte-identical at any thread count.
 
+#include <cstdint>
 #include <cstdio>
 #include <stdexcept>
 #include <string>
@@ -80,7 +83,6 @@ int main(int argc, char** argv) {
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
   const auto scene_seed =
       static_cast<std::uint64_t>(args.get_int("scene-seed", 0xCAFE));
-  const auto threads = static_cast<std::size_t>(args.get_int("threads", 1));
   const std::vector<double> fractions =
       parse_fractions(args.get("stages", "0.0625,0.25"));
 
@@ -121,7 +123,8 @@ int main(int argc, char** argv) {
   cc.window = window;
   cc.stride = stride;
   cc.positive_class = 1;
-  cc.threads = threads;
+  cc.threads = static_cast<std::size_t>(
+      args.get_int("threads", static_cast<std::int64_t>(cc.threads)));
   std::fprintf(stderr,
                "calibrating over %zu scene(s) of %zux%zu (%zu faces each)...\n",
                scenes.size(), scene_w, scene_h, faces);
