@@ -3,11 +3,11 @@
 //
 // Unlike table2_robustness — which corrupts pre-extracted feature vectors —
 // this sweep runs pipeline::FaultCampaign against *live* detectors: every
-// cell injects its sampled fault pattern into the stored hypervector
-// memories (item memories, mask pool, binarized prototypes) plus the
-// in-flight query hypervectors, re-encodes the held-out set through the
-// faulted storage, and scans a planted-face scene through the parallel
-// detection engine. The comparison rows reproduce the paper's collapse
+// cell writes its sampled fault pattern into the stored hypervector
+// memories (item memories, mask pool, binarized prototypes) of a copy of the
+// detector plus the in-flight query hypervectors, re-encodes the held-out
+// set through the faulted storage, and scans a planted-face scene through
+// the parallel detection engine. The comparison rows reproduce the paper's collapse
 // cases: HOG on the original (fixed-point) representation and an 8-bit
 // quantized DNN under the same bit-error rates.
 //

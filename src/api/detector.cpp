@@ -43,31 +43,32 @@ pipeline::ParallelDetectConfig engine_config(const DetectOptions& options,
   return engine;
 }
 
-// Runs scan(engine config) for one validated call. A call with a fault plan
-// scans inside a FaultSession, so the plan's stored-memory faults span the
-// whole scan (every pyramid level of it); restore() is explicit so
-// verification errors surface to the caller. Otherwise a calibrated cascade
-// request gets its per-call staged scorer. validate() rejects a cascade with
-// a fault plan, so no call needs both. The Cascade constructor re-validates
-// the table against the trained classifier (dim/classes/positive_class): a
-// table calibrated for a different model throws std::invalid_argument —
-// typed kInvalidOptions on the Request path.
+// Runs scan(pipeline, engine config) for one validated call. A call whose
+// fault plan targets stored memory scans a faulted copy of the pipeline
+// (pipeline::faulted_copy), so the plan's stored-memory faults span the whole
+// scan (every pyramid level of it) and the shared pipeline is only read. Any
+// other call scans the shared pipeline; a query-only plan's faults land on
+// each window's own query in the scan loop. A calibrated cascade request
+// gets its per-call staged scorer. validate() rejects a cascade with a fault
+// plan, so no call needs both. The Cascade constructor re-validates the
+// table against the trained classifier (dim/classes/positive_class): a table
+// calibrated for a different model throws std::invalid_argument — typed
+// kInvalidOptions on the Request path.
 template <typename Scan>
 auto run_scan(pipeline::HdFacePipeline& pipeline, const DetectOptions& options,
               const Scan& scan) {
-  if (options.fault_plan) {
-    pipeline::FaultSession session(pipeline, *options.fault_plan);
-    auto result = scan(engine_config(options, nullptr));
-    session.restore();
-    return result;
+  if (options.fault_plan && options.fault_plan->targets_stored_memory()) {
+    const pipeline::FaultedCopy faulted =
+        pipeline::faulted_copy(pipeline, *options.fault_plan);
+    return scan(*faulted.pipeline, engine_config(options, nullptr));
   }
   if (options.cascade &&
       options.cascade->mode == pipeline::CascadeMode::kCalibrated) {
     const pipeline::Cascade cascade(pipeline.classifier(),
                                     options.cascade->table);
-    return scan(engine_config(options, &cascade));
+    return scan(pipeline, engine_config(options, &cascade));
   }
-  return scan(engine_config(options, nullptr));
+  return scan(pipeline, engine_config(options, nullptr));
 }
 
 // The single-scale window map of one validated call.
@@ -75,9 +76,10 @@ pipeline::DetectionMap scan_map(pipeline::HdFacePipeline& pipeline,
                                 const image::Image& scene, std::size_t window,
                                 const DetectOptions& options) {
   return run_scan(pipeline, options,
-                  [&](const pipeline::ParallelDetectConfig& engine) {
+                  [&](pipeline::HdFacePipeline& scanned,
+                      const pipeline::ParallelDetectConfig& engine) {
                     return pipeline::detect_windows_parallel(
-                        pipeline, scene, window, options.stride,
+                        scanned, scene, window, options.stride,
                         options.positive_class, engine);
                   });
 }
@@ -145,10 +147,11 @@ std::vector<pipeline::Detection> Detector::detect_validated(
   // face; options.nms_iou only tunes how aggressively.
   ms.iou_threshold = options.nms ? options.nms_iou : 0.3;
   return run_scan(*pipeline_, options,
-                  [&](const pipeline::ParallelDetectConfig& engine) {
+                  [&](pipeline::HdFacePipeline& scanned,
+                      const pipeline::ParallelDetectConfig& engine) {
                     return pipeline::detect_multiscale(
-                        *pipeline_, scene, window_, ms,
-                        options.positive_class, engine);
+                        scanned, scene, window_, ms, options.positive_class,
+                        engine);
                   });
 }
 

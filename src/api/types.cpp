@@ -28,7 +28,7 @@ std::optional<Error> validate(const DetectOptions& options) {
   }
   if (options.fault_plan) {
     const double rate = options.fault_plan->model.rate;
-    if (!(rate >= 0.0 && rate <= 1.0)) {  // NaN fails too
+    if (!noise::valid_rate(rate)) {
       return Error::invalid_options(
           "DetectOptions: fault_plan rate outside [0, 1]: " +
           std::to_string(rate));

@@ -218,16 +218,14 @@ struct DetectOptions {
   std::optional<Telemetry> telemetry;
   // Fault-injection plan for robustness studies. When set, the scan runs
   // against a detector whose stored hypervector memories (item memories,
-  // mask pool, binarized prototypes) carry the plan's sampled faults —
-  // injected copy-on-inject via pipeline::FaultSession before the scan and
-  // restore-verified after, so the detector is bit-identical to a
-  // never-faulted one once the call returns. Query-plane faults are applied
-  // in flight per window. Note: when the plan targets prototypes, inference
+  // mask pool, binarized prototypes) carry the plan's sampled faults: a
+  // private faulted copy of the model (pipeline::faulted_copy), so the
+  // shared model is never written and concurrent scans never see the faults.
+  // Query-plane faults are applied in flight per window; a query-only plan
+  // makes no copy. Note: when the plan targets prototypes, inference
   // switches to the binary Hamming path even at rate 0 (clean-baseline cells
   // of a sweep stay comparable to faulted ones). validate() rejects a rate
-  // outside [0, 1] (NaN included). The serving layer runs plans that target
-  // stored memory under an exclusive lock and query-only plans beside clean
-  // scans (see serve/server.hpp).
+  // outside [0, 1] (NaN included).
   std::optional<noise::FaultPlan> fault_plan;
   // Early-reject similarity cascade (pipeline/cascade.hpp). kExact (the
   // default-constructed mode) bypasses the stages entirely — the scan runs

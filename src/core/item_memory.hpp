@@ -41,8 +41,8 @@ class LevelItemMemory {
   // Fault-injection hook (noise/fault_model.hpp): mutable access to the
   // stored words of one level. Every read accessor keeps returning the
   // (possibly faulted) stored contents — exactly what a stuck-at fault in a
-  // level ROM does. The caller owns restoring the clean bits; see
-  // pipeline::FaultSession for the copy-on-inject / restore-verified wrapper.
+  // level ROM does. pipeline::faulted_copy writes faults only into the
+  // memories of its own copy of a pipeline, never into the original's.
   Hypervector& mutable_level(std::size_t i);
 
  private:

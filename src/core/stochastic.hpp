@@ -197,17 +197,25 @@ class StochasticContext {
   //
   // The warmed mask pool is the software analogue of a hardware mask ROM /
   // LFSR bank — stored hypervector material that device-level faults can
-  // corrupt. These hooks give the fault subsystem (pipeline::FaultSession)
-  // mutable access to that storage. The pool is shared with every fork, so a
-  // patched entry is read by all scan workers, and restoring the clean words
-  // heals every fork at once. Mutation is only safe while no fork is
-  // concurrently reading (inject before dispatch, restore after).
+  // corrupt. pipeline::faulted_copy writes faults into the pool of a copied
+  // context through these hooks. A copy shares its original's pool just as a
+  // fork does, so it takes a private pool (unshare_pool) before any bucket is
+  // written, and writes it before any fork of it reads the pool.
 
   // Number of quantized probability buckets (0 when pooling is disabled).
   std::size_t pool_buckets() const { return pool_ ? pool_->size() : 0; }
 
-  // Mutable view of one warmed bucket. Throws std::logic_error before
-  // warm_pool() — patching a lazily-filled pool would race with the fill.
+  // Replaces the shared pool with a private deep copy; forks taken afterwards
+  // share the private one. No-op when pooling is disabled.
+  void unshare_pool() {
+    if (pool_) {
+      pool_ = std::make_shared<std::vector<std::vector<Hypervector>>>(*pool_);
+    }
+  }
+
+  // Mutable view of one warmed bucket, shared with every context that shares
+  // the pool. Throws std::logic_error before warm_pool() — patching a
+  // lazily-filled pool would race with the fill.
   std::vector<Hypervector>& mutable_pool_bucket(std::size_t bucket);
 
  private:

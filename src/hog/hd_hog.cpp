@@ -11,7 +11,7 @@ namespace hdface::hog {
 HdHogExtractor::HdHogExtractor(core::StochasticContext& ctx,
                                const HdHogConfig& config, std::size_t image_width,
                                std::size_t image_height)
-    : ctx_(ctx),
+    : ctx_(&ctx),
       config_(config),
       cells_x_(config.hog.cells_x(image_width)),
       cells_y_(config.hog.cells_y(image_height)),
@@ -24,23 +24,23 @@ HdHogExtractor::HdHogExtractor(core::StochasticContext& ctx,
   }
   for (double t : binner_.boundary_tans()) {
     if (t <= 1.0) {
-      boundary_consts_.push_back(ctx_.construct(t));
+      boundary_consts_.push_back(ctx_->construct(t));
       boundary_uses_cot_.push_back(false);
     } else {
-      boundary_consts_.push_back(ctx_.construct(1.0 / t));
+      boundary_consts_.push_back(ctx_->construct(1.0 / t));
       boundary_uses_cot_.push_back(true);
     }
   }
   boundary_consts_xor_basis_.reserve(boundary_consts_.size());
   for (const auto& c : boundary_consts_) {
-    boundary_consts_xor_basis_.push_back(c ^ ctx_.basis());
+    boundary_consts_xor_basis_.push_back(c ^ ctx_->basis());
   }
 }
 
 HdHogExtractor::GradientHv HdHogExtractor::pixel_gradient(const image::Image& img,
                                                           std::size_t x,
                                                           std::size_t y) {
-  return pixel_gradient(img, x, y, ctx_);
+  return pixel_gradient(img, x, y, *ctx_);
 }
 
 HdHogExtractor::GradientHv HdHogExtractor::pixel_gradient(
@@ -59,7 +59,7 @@ HdHogExtractor::GradientHv HdHogExtractor::pixel_gradient(
 }
 
 core::Hypervector HdHogExtractor::pixel_magnitude(const GradientHv& grad) {
-  return pixel_magnitude(grad, ctx_);
+  return pixel_magnitude(grad, *ctx_);
 }
 
 core::Hypervector HdHogExtractor::pixel_magnitude(
@@ -81,7 +81,7 @@ core::Hypervector HdHogExtractor::pixel_magnitude(
 }
 
 std::size_t HdHogExtractor::pixel_bin(const GradientHv& grad) {
-  return pixel_bin(grad, ctx_);
+  return pixel_bin(grad, *ctx_);
 }
 
 std::size_t HdHogExtractor::pixel_bin(const GradientHv& grad,
@@ -125,7 +125,7 @@ std::size_t HdHogExtractor::pixel_bin(const GradientHv& grad,
 }
 
 HdHogExtractor::SlotRecord HdHogExtractor::slot_record(const image::Image& img) {
-  return slot_record(img, ctx_);
+  return slot_record(img, *ctx_);
 }
 
 void HdHogExtractor::cell_raw_values(const image::Image& img, std::size_t x0,
@@ -594,7 +594,7 @@ const core::Hypervector& HdHogExtractor::StagedWindow::assemble_to(
 }
 
 core::Hypervector HdHogExtractor::extract(const image::Image& img) {
-  return extract(img, ctx_);
+  return extract(img, *ctx_);
 }
 
 core::Hypervector HdHogExtractor::extract(const image::Image& img,
@@ -615,7 +615,7 @@ CellHistograms HdHogExtractor::decode_histograms(const image::Image& img) {
   cells.bins = config_.hog.bins;
   cells.values.resize(record.hvs.size());
   for (std::size_t i = 0; i < record.hvs.size(); ++i) {
-    cells.values[i] = static_cast<float>(ctx_.decode(record.hvs[i]));
+    cells.values[i] = static_cast<float>(ctx_->decode(record.hvs[i]));
   }
   return cells;
 }

@@ -70,6 +70,16 @@ class HdHogExtractor {
   HdHogExtractor(core::StochasticContext& ctx, const HdHogConfig& config,
                  std::size_t image_width, std::size_t image_height);
 
+  // Copy that draws from `ctx` instead of the original's context. Item
+  // memories, boundary constants and bundle keys are copied, so faulting the
+  // copy's tables leaves the original's untouched (HdFacePipeline's copy
+  // binds its extractor to its own context this way).
+  HdHogExtractor(const HdHogExtractor& other, core::StochasticContext& ctx)
+      : HdHogExtractor(other) {
+    ctx_ = &ctx;
+  }
+  HdHogExtractor& operator=(const HdHogExtractor&) = delete;
+
   const HdHogConfig& config() const { return config_; }
   std::size_t cells_x() const { return cells_x_; }
   std::size_t cells_y() const { return cells_y_; }
@@ -79,9 +89,8 @@ class HdHogExtractor {
   // Fault-injection hooks: mutable access to the two stored level tables
   // (pixel item memory and histogram re-quantization memory) — the "item
   // memory" storage planes the robustness study corrupts. Every encode path
-  // reads these tables, so a patched level is seen by all subsequent
-  // extractions (including via forked contexts) until the caller restores
-  // the clean words. See pipeline::FaultSession.
+  // reads these tables, so a faulted level is seen by every extraction of
+  // this extractor. pipeline::faulted_copy writes them only on a copy.
   core::LevelItemMemory& mutable_item_memory() { return item_memory_; }
   core::LevelItemMemory& mutable_histogram_memory() { return histogram_memory_; }
 
@@ -287,7 +296,10 @@ class HdHogExtractor {
                              std::size_t y0, core::StochasticContext& ctx,
                              double* out) const;
 
-  core::StochasticContext& ctx_;
+  // Only the rebinding copy constructor copies an extractor as a whole.
+  HdHogExtractor(const HdHogExtractor&) = default;
+
+  core::StochasticContext* ctx_;
   HdHogConfig config_;
   std::size_t cells_x_;
   std::size_t cells_y_;

@@ -76,17 +76,13 @@ class HdcClassifier {
   //
   // When set, scores()/predict()/evaluate() switch to binary Hamming
   // inference against these prototypes (normalized similarity δ ∈ [−1, 1])
-  // instead of cosine against the float accumulators. This is the
-  // copy-on-inject path for prototype faults: the deployment storage the
-  // robustness study corrupts is the binarized prototype memory, and the
-  // float accumulators are physically untouched — clear_binary_override()
-  // restores the clean model exactly. Training under an override is a
-  // programming error (update() throws std::logic_error).
+  // instead of cosine against the float accumulators. This is the path for
+  // prototype faults: the deployment storage the robustness study corrupts
+  // is the binarized prototype memory (pipeline::faulted_copy overrides a
+  // copied classifier with faulted prototypes), and the float accumulators
+  // are physically untouched. Training under an override is a programming
+  // error (update() throws std::logic_error).
   void set_binary_override(std::vector<core::Hypervector> prototypes);
-  void clear_binary_override() {
-    binary_override_.clear();
-    binary_block_ = core::PrototypeBlock();
-  }
   bool has_binary_override() const { return !binary_override_.empty(); }
   const std::vector<core::Hypervector>& binary_override() const {
     return binary_override_;

@@ -23,9 +23,7 @@ std::size_t FaultMask::selected_bits() const {
 FaultMask sample_fault_mask(const FaultModel& model, std::size_t dim,
                             core::Rng& rng) {
   if (dim == 0) throw std::invalid_argument("sample_fault_mask: dim 0");
-  // Written so a NaN rate fails too: bernoulli() would compare u < NaN and
-  // silently sample no fault.
-  if (!(model.rate >= 0.0 && model.rate <= 1.0)) {
+  if (!valid_rate(model.rate)) {
     throw std::invalid_argument("sample_fault_mask: rate outside [0, 1]");
   }
   FaultMask mask{core::Hypervector(dim), core::Hypervector(dim),

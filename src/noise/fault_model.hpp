@@ -29,12 +29,12 @@ namespace hdface::noise {
 
 enum class FaultKind {
   // Fresh i.i.d. flips per query (soft errors in flight). For stored targets
-  // the pattern is sampled once per injection session — the paper's Table 2
+  // the pattern is sampled once per faulted copy — the paper's Table 2
   // convention, where prototypes are corrupted once per evaluation.
   kTransientFlip,
   // Persistent cells stuck at 0 / 1 (in-memory HDC device faults): each bit
   // is selected independently with probability `rate` and forced to the
-  // stuck value on every read until restored.
+  // stuck value on every read.
   kStuckAtZero,
   kStuckAtOne,
   // Word-aligned burst: each 64-bit storage word fails as a unit with
@@ -58,6 +58,11 @@ struct FaultModel {
   // Per-bit fault probability (per-word for kWordBurst); 0 disables.
   double rate = 0.0;
 };
+
+// The one rule for a fault rate: a probability in [0, 1]. Written so NaN
+// fails too — every comparison with NaN is false, and a NaN rate would
+// otherwise sample no fault at all.
+constexpr bool valid_rate(double rate) { return rate >= 0.0 && rate <= 1.0; }
 
 // One sampled fault pattern over a hypervector-shaped storage site, kept as
 // three planes applied as v' = ((v & ~clear) | set) ^ flip. Stuck-at faults
@@ -109,9 +114,9 @@ constexpr std::uint64_t fault_seed(std::uint64_t plan_seed, FaultTarget target,
       index);
 }
 
-// What to inject where. The stored-memory targets are patched by
-// pipeline::FaultSession (copy-on-inject, restore-verified); the query target
-// is applied in-flight by the detection engine via apply_query_fault.
+// What to inject where. The stored-memory targets are written into a private
+// copy of the pipeline by pipeline::faulted_copy; the query target is applied
+// in flight by the detection engine via apply_query_fault.
 struct FaultPlan {
   FaultModel model;
   std::uint64_t seed = 0xFA117;
@@ -127,10 +132,10 @@ struct FaultPlan {
   // pattern for every window.
   bool queries = true;
 
-  // True when the plan patches stored memory shared by every scan (item
-  // memories, mask pool, prototype override). A plan without a stored
-  // target writes only each window's own query, so it can run beside
-  // concurrent clean scans (serve::DetectionServer relies on this).
+  // True when the plan faults stored memory (item memories, mask pool,
+  // prototypes), so a scan under it runs on a faulted copy of the pipeline.
+  // A plan without a stored target faults only each window's own query and
+  // scans the shared pipeline, with no copy.
   bool targets_stored_memory() const { return item_memory || prototypes; }
 };
 

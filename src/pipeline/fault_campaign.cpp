@@ -27,7 +27,7 @@ FaultCampaign::FaultCampaign(const FaultCampaignConfig& config)
     throw std::invalid_argument("FaultCampaign: no rates");
   }
   for (double r : config_.rates) {
-    if (r < 0.0 || r > 1.0) {
+    if (!noise::valid_rate(r)) {
       throw std::invalid_argument("FaultCampaign: rate outside [0, 1]");
     }
   }
@@ -89,9 +89,8 @@ std::vector<FaultCampaignCell> FaultCampaign::run_impl(
 
   std::vector<FaultCampaignCell> cells;
   cells.reserve(subjects_.size() * config_.kinds.size() * config_.rates.size());
-  // Cells run serially: injection mutates the subject's shared storage, so
-  // two cells of one subject must never coexist. All parallelism lives
-  // inside evaluate_cell.
+  // Each cell evaluates its own faulted copy of the subject; all
+  // parallelism lives inside evaluate_cell.
   for (auto& subject : subjects_) {
     for (const auto kind : config_.kinds) {
       for (const double rate : config_.rates) {
@@ -121,12 +120,12 @@ FaultCampaignCell FaultCampaign::evaluate_cell(
   cell.plan_seed = plan.seed;
   cell.samples = test.images.size();
 
-  HdFacePipeline& pipe = *subject.pipeline;
-  // Inject once; both the accuracy pass and the scene scan read the same
+  // Fault one copy; both the accuracy pass and the scene scan read its
   // faulted storage, exactly like a deployed detector with bad cells.
-  FaultSession session(pipe, plan);
-  cell.disturbed_bits = session.disturbed_bits();
-  cell.faultable_bits = session.faultable_bits();
+  const FaultedCopy faulted = faulted_copy(*subject.pipeline, plan);
+  cell.disturbed_bits = faulted.disturbed_bits;
+  cell.faultable_bits = faulted.faultable_bits;
+  HdFacePipeline& pipe = *faulted.pipeline;
 
   // --- window-classification accuracy --------------------------------------
   // Per-sample reseed makes every encoding a pure function of (pipeline,
@@ -178,8 +177,6 @@ FaultCampaignCell FaultCampaign::evaluate_cell(
       cell.mean_best_iou = sum / static_cast<double>(truth->size());
     }
   }
-
-  session.restore();
   return cell;
 }
 

@@ -12,21 +12,20 @@
 //   1. derives the cell's FaultPlan seed with cell_seed() — a pure function
 //      of (campaign seed, subject name, kind, rate), never of enumeration
 //      order, so adding a rate or reordering kinds shifts no other cell;
-//   2. opens a pipeline::FaultSession (copy-on-inject into item memories,
-//      mask pool and binarized prototypes; restore-verified on close);
+//   2. builds a pipeline::faulted_copy of the subject (faults in its item
+//      memories, mask pool and binarized prototypes; the subject itself is
+//      only read);
 //   3. measures window-classification accuracy over a held-out dataset, with
 //      per-query transient faults applied in flight;
 //   4. optionally scans a scene through the parallel detection engine and
-//      scores the resulting boxes against ground-truth boxes (mean best-IoU);
-//   5. restores and moves to the next cell.
+//      scores the resulting boxes against ground-truth boxes (mean best-IoU).
 //
-// Parallelism: cells run *serially* — injection mutates the subject's shared
-// storage, so two cells of one subject cannot coexist — while the evaluation
-// inside a cell fans out over util::parallel_for_sharded. Hit counts
-// aggregate through its per-chunk shards (exact integer merge) and every
-// per-sample encoding reseeds from the sample index, so a campaign's results
-// are bit-identical at any thread count — the same determinism contract the
-// clean detection engine makes.
+// Parallelism: cells are independent (each evaluates its own copy) and run
+// one after another, while the evaluation inside a cell fans out over
+// util::parallel_for_sharded. Hit counts aggregate through its per-chunk
+// shards (exact integer merge) and every per-sample encoding reseeds from
+// the sample index, so a campaign's results are bit-identical at any thread
+// count — the same determinism contract the clean detection engine makes.
 
 #include <cstdint>
 #include <memory>
@@ -82,7 +81,7 @@ struct FaultCampaignCell {
   double mean_best_iou = 0.0;
   std::size_t num_detections = 0;
 
-  // Empirical disturbance of the stored planes (from the FaultSession), for
+  // Empirical disturbance of the stored planes (from the faulted copy), for
   // sanity-checking the sweep against expected_disturbed_fraction.
   std::uint64_t disturbed_bits = 0;
   std::uint64_t faultable_bits = 0;

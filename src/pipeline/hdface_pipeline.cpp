@@ -12,6 +12,11 @@ namespace {
 // of the pipeline seed (the batched scan salts with 0xBA7C4ED0, cell planes
 // with their own pure key — see parallel_detect.cpp / cell_plane.hpp).
 constexpr std::uint64_t kDatasetStreamSalt = 0xDA7A5E7DULL;
+
+template <typename T>
+std::unique_ptr<T> clone(const std::unique_ptr<T>& p) {
+  return p ? std::make_unique<T>(*p) : nullptr;
+}
 }  // namespace
 
 HdFacePipeline::HdFacePipeline(const HdFaceConfig& config, std::size_t image_width,
@@ -45,6 +50,19 @@ HdFacePipeline::HdFacePipeline(const HdFaceConfig& config, std::size_t image_wid
   hc.seed = core::mix64(config_.seed, 0x11D);
   classifier_ = std::make_unique<learn::HdcClassifier>(hc);
 }
+
+HdFacePipeline::HdFacePipeline(const HdFacePipeline& other)
+    : config_(other.config_),
+      classes_(other.classes_),
+      ctx_(other.ctx_),
+      hd_extractor_(other.hd_extractor_
+                        ? std::make_unique<hog::HdHogExtractor>(
+                              *other.hd_extractor_, ctx_)
+                        : nullptr),
+      hog_extractor_(clone(other.hog_extractor_)),
+      encoder_(clone(other.encoder_)),
+      classifier_(clone(other.classifier_)),
+      feature_counter_(other.feature_counter_) {}
 
 void HdFacePipeline::set_counters(core::OpCounter* feature_counter,
                                   core::OpCounter* learn_counter) {

@@ -48,14 +48,20 @@ class HdFacePipeline {
   HdFacePipeline(const HdFaceConfig& config, std::size_t image_width,
                  std::size_t image_height, std::size_t classes);
 
+  // Deep copy: its own context, extractor (bound to that context), encoder
+  // and classifier. The warmed mask pool stays shared, read-only, until the
+  // copy's context calls unshare_pool(); the op-counter sinks carry over.
+  // pipeline::faulted_copy faults a copy made this way.
+  HdFacePipeline(const HdFacePipeline& other);
+
   const HdFaceConfig& config() const { return config_; }
   core::StochasticContext& context() { return ctx_; }
   const learn::HdcClassifier& classifier() const { return *classifier_; }
 
-  // Fault-injection hooks: mutable access to the classifier (to set/clear a
-  // faulted binary-prototype override) and to the HD-HOG extractor's stored
-  // item memories. hd_extractor() is nullptr in kOrigHogEncoder mode, which
-  // has no hypervector item memory to corrupt. See pipeline::FaultSession.
+  // Mutable access to the classifier (to deploy a binary-prototype override)
+  // and to the HD-HOG extractor's stored item memories, which
+  // pipeline::faulted_copy faults on a copy. hd_extractor() is nullptr in
+  // kOrigHogEncoder mode, which has no hypervector item memory to corrupt.
   learn::HdcClassifier& mutable_classifier() { return *classifier_; }
   hog::HdHogExtractor* hd_extractor() { return hd_extractor_.get(); }
 

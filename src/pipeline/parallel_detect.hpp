@@ -64,8 +64,8 @@ struct ParallelDetectConfig {
   // noise::apply_query_fault before classification. The fault pattern is a
   // pure function of (plan seed, window index), so faulted scans keep the
   // engine's any-thread-count bit-identical contract. Stored-memory targets
-  // of the plan are NOT injected here — wrap the scan in a
-  // pipeline::FaultSession for those. Must outlive the call.
+  // of the plan are NOT injected here — scan a pipeline::faulted_copy for
+  // those. Must outlive the call.
   const noise::FaultPlan* fault_plan = nullptr;
   // Encode strategy (see EncodeMode). kPerWindow reproduces the engine's
   // historical bit streams exactly; kCellPlane is the fast path.

@@ -141,19 +141,7 @@ void DetectionServer::execute_job(Job job, Shard& shard) {
   telemetry.cascade = &job_cascade;
   request.options.telemetry = telemetry;
 
-  api::Outcome<api::Response> outcome = [&] {
-    if (request.options.fault_plan.has_value() &&
-        request.options.fault_plan->targets_stored_memory()) {
-      // FaultSession patches shared pipeline storage (item memories, mask
-      // pool, prototype override) for the scan's duration — exclusive.
-      const util::WriterMutexLock model_lock(model_mutex_);
-      return detector_.detect(request);
-    }
-    // Clean scans and query-only plans write no shared state: query faults
-    // land on each window's own feature.
-    const util::ReaderMutexLock model_lock(model_mutex_);
-    return detector_.detect(request);
-  }();
+  api::Outcome<api::Response> outcome = detector_.detect(request);
 
   const auto done_at = Clock::now();
   const std::uint64_t wait_ns = elapsed_ns(job.admitted_at, dequeued_at);

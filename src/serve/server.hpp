@@ -39,13 +39,11 @@
 // this per request). Latency numbers are of course timing-dependent; only
 // the *results* are not.
 //
-// A fault plan that targets stored memory (item memories, mask pool,
-// prototypes) mutates shared pipeline storage for the duration of its scan
-// (pipeline::FaultSession, copy-on-inject + restore-verified); the server
-// runs it under an exclusive model lock, so it can never corrupt a
-// concurrent scan. Clean requests and query-only plans
-// (!FaultPlan::targets_stored_memory(): faults land on each window's own
-// query) write no shared state and share the lock.
+// Nothing a request runs writes the shared model, so workers scan it with
+// no model lock: a fault plan that targets stored memory (item memories,
+// mask pool, prototypes) scans a private faulted copy
+// (pipeline::faulted_copy), and a query-only plan's faults land on each
+// window's own query.
 
 #include <chrono>
 #include <cstddef>
@@ -165,11 +163,11 @@ class DetectionServer {
   // Manual mode (start_workers == false): execute one queued request on the
   // calling thread. Returns false when the queue is empty. Also used by
   // shutdown() to drain a worker-less server.
-  bool step() HD_EXCLUDES(admission_mutex_, model_mutex_);
+  bool step() HD_EXCLUDES(admission_mutex_);
 
   // Stop admitting (kShutdown), drain every queued request, join workers.
   // Idempotent; after it returns, stats().in_flight == 0.
-  void shutdown() HD_EXCLUDES(admission_mutex_, model_mutex_);
+  void shutdown() HD_EXCLUDES(admission_mutex_);
 
   std::size_t queue_depth() const { return queue_.size(); }
   const api::Detector& detector() const { return detector_; }
@@ -195,10 +193,9 @@ class DetectionServer {
     pipeline::CascadeStats cascade HD_GUARDED_BY(mutex);
   };
 
-  void worker_loop(std::size_t shard_index)
-      HD_EXCLUDES(admission_mutex_, model_mutex_);
+  void worker_loop(std::size_t shard_index) HD_EXCLUDES(admission_mutex_);
   void execute_job(Job job, Shard& shard)
-      HD_EXCLUDES(admission_mutex_, model_mutex_, shard.mutex);
+      HD_EXCLUDES(admission_mutex_, shard.mutex);
 
   // Admission checks, in rejection-priority order. Returns the typed
   // rejection (and bumps its counter) or nullopt to admit. Split out of
@@ -227,15 +224,6 @@ class DetectionServer {
       HD_GUARDED_BY(admission_mutex_);
   std::size_t in_flight_ HD_GUARDED_BY(admission_mutex_) = 0;
   bool shutdown_ HD_GUARDED_BY(admission_mutex_) = false;
-
-  // Clean scans and query-only fault plans share the model; plans that
-  // target stored memory (which patch shared pipeline storage via
-  // FaultSession) take it exclusively. The capability guards the *pipeline
-  // storage behind detector_* (item memories, mask pool, prototype
-  // override) — state the analysis cannot name directly, so the acquire
-  // sites in execute_job() carry the contract instead of a HD_GUARDED_BY on
-  // a member.
-  util::SharedMutex model_mutex_;
 };
 
 }  // namespace hdface::serve

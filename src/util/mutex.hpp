@@ -3,13 +3,13 @@
 // Annotated capability types over the std synchronization primitives.
 //
 // This is the only file in the linted tree (hdlint rule `raw-mutex-type`)
-// that may name std::mutex / std::shared_mutex / std::condition_variable,
-// and the only one that may call .lock()/.unlock() directly (rule
-// `manual-lock-unlock`). Everything else declares a util::Mutex or
-// util::SharedMutex, marks the data it protects `HD_GUARDED_BY(mu_)`, and
-// holds the lock through the RAII guards below — which is exactly the shape
-// Clang's thread-safety analysis (-Wthread-safety, the `thread-safety`
-// preset) can prove correct on every path.
+// that may name std::mutex / std::condition_variable, and the only one that
+// may call .lock()/.unlock() directly (rule `manual-lock-unlock`).
+// Everything else declares a util::Mutex, marks the data it protects
+// `HD_GUARDED_BY(mu_)`, and holds the lock through the RAII guard below —
+// which is exactly the shape Clang's thread-safety analysis
+// (-Wthread-safety, the `thread-safety` preset) can prove correct on every
+// path.
 //
 // The wrappers are zero-cost: each holds exactly the std primitive, every
 // method is a single inlined forwarding call, and no behavior changes —
@@ -29,7 +29,6 @@
 
 #include <condition_variable>
 #include <mutex>
-#include <shared_mutex>
 
 #include "util/thread_annotations.hpp"
 
@@ -51,22 +50,6 @@ class HD_CAPABILITY("mutex") Mutex {
   std::mutex mu_;
 };
 
-// Shared/exclusive capability wrapping std::shared_mutex (reader-writer).
-class HD_CAPABILITY("shared_mutex") SharedMutex {
- public:
-  SharedMutex() = default;
-  SharedMutex(const SharedMutex&) = delete;
-  SharedMutex& operator=(const SharedMutex&) = delete;
-
-  void lock() HD_ACQUIRE() { mu_.lock(); }
-  void unlock() HD_RELEASE() { mu_.unlock(); }
-  void lock_shared() HD_ACQUIRE_SHARED() { mu_.lock_shared(); }
-  void unlock_shared() HD_RELEASE_SHARED() { mu_.unlock_shared(); }
-
- private:
-  std::shared_mutex mu_;
-};
-
 // RAII exclusive guard over Mutex (the std::lock_guard of this layer).
 class HD_SCOPED_CAPABILITY MutexLock {
  public:
@@ -78,36 +61,6 @@ class HD_SCOPED_CAPABILITY MutexLock {
 
  private:
   Mutex& mu_;
-};
-
-// RAII exclusive guard over SharedMutex (writer side).
-class HD_SCOPED_CAPABILITY WriterMutexLock {
- public:
-  explicit WriterMutexLock(SharedMutex& mu) HD_ACQUIRE(mu) : mu_(mu) {
-    mu_.lock();
-  }
-  ~WriterMutexLock() HD_RELEASE() { mu_.unlock(); }
-
-  WriterMutexLock(const WriterMutexLock&) = delete;
-  WriterMutexLock& operator=(const WriterMutexLock&) = delete;
-
- private:
-  SharedMutex& mu_;
-};
-
-// RAII shared guard over SharedMutex (reader side).
-class HD_SCOPED_CAPABILITY ReaderMutexLock {
- public:
-  explicit ReaderMutexLock(SharedMutex& mu) HD_ACQUIRE_SHARED(mu) : mu_(mu) {
-    mu_.lock_shared();
-  }
-  ~ReaderMutexLock() HD_RELEASE() { mu_.unlock_shared(); }
-
-  ReaderMutexLock(const ReaderMutexLock&) = delete;
-  ReaderMutexLock& operator=(const ReaderMutexLock&) = delete;
-
- private:
-  SharedMutex& mu_;
 };
 
 // Condition variable bound to util::Mutex. wait() requires the caller to

@@ -14,12 +14,12 @@
 // On GCC and MSVC every macro expands to nothing, so the annotations cost
 // zero in the default build and the tree stays compiler-portable.
 //
-// Usage lives in src/util/mutex.hpp: annotate the *capability types*
-// (util::Mutex, util::SharedMutex) once, then declare data as
-// `HD_GUARDED_BY(mutex_)` and helpers as `HD_REQUIRES(mutex_)`. Code
-// outside util/ should never name a raw std::mutex (hdlint rule
-// `raw-mutex-type`) or call .lock()/.unlock() manually (rule
-// `manual-lock-unlock`); the annotated RAII guards are the only doorway.
+// Usage lives in src/util/mutex.hpp: annotate the *capability type*
+// (util::Mutex) once, then declare data as `HD_GUARDED_BY(mutex_)` and
+// helpers as `HD_REQUIRES(mutex_)`. Code outside util/ should never name a
+// raw std::mutex (hdlint rule `raw-mutex-type`) or call .lock()/.unlock()
+// manually (rule `manual-lock-unlock`); the annotated RAII guard is the only
+// doorway.
 
 #if defined(__clang__) && (!defined(SWIG))
 #define HD_THREAD_ANNOTATION(x) __attribute__((x))
@@ -28,11 +28,11 @@
 #endif
 
 // Declares a type to be a capability (a lock). The string names the
-// capability kind in diagnostics ("mutex", "shared_mutex").
+// capability kind in diagnostics ("mutex").
 #define HD_CAPABILITY(x) HD_THREAD_ANNOTATION(capability(x))
 
 // Declares an RAII type whose constructor acquires and destructor releases
-// a capability (util::MutexLock and friends).
+// a capability (util::MutexLock).
 #define HD_SCOPED_CAPABILITY HD_THREAD_ANNOTATION(scoped_lockable)
 
 // Data members: readable/writable only while holding the named capability.
@@ -40,22 +40,16 @@
 // Pointer members: the *pointee* is guarded by the named capability.
 #define HD_PT_GUARDED_BY(x) HD_THREAD_ANNOTATION(pt_guarded_by(x))
 
-// Functions: the caller must hold the capability (exclusively / shared).
+// Functions: the caller must hold the capability.
 #define HD_REQUIRES(...) \
   HD_THREAD_ANNOTATION(requires_capability(__VA_ARGS__))
-#define HD_REQUIRES_SHARED(...) \
-  HD_THREAD_ANNOTATION(requires_shared_capability(__VA_ARGS__))
 
 // Functions: acquire/release the capability (must not / must be held on
 // entry). Used on the capability wrappers and the RAII guard ctors/dtors.
 #define HD_ACQUIRE(...) \
   HD_THREAD_ANNOTATION(acquire_capability(__VA_ARGS__))
-#define HD_ACQUIRE_SHARED(...) \
-  HD_THREAD_ANNOTATION(acquire_shared_capability(__VA_ARGS__))
 #define HD_RELEASE(...) \
   HD_THREAD_ANNOTATION(release_capability(__VA_ARGS__))
-#define HD_RELEASE_SHARED(...) \
-  HD_THREAD_ANNOTATION(release_shared_capability(__VA_ARGS__))
 
 // Functions: acquire only when returning the given value.
 #define HD_TRY_ACQUIRE(...) \

@@ -340,5 +340,22 @@ TEST(HdcClassifier, PredictBinaryRequiresPrototypes) {
       std::invalid_argument);
 }
 
+TEST(HdcClassifier, UpdateUnderOverrideThrows) {
+  // A binary override is faulted prototype memory: training through it
+  // would absorb the faults, so update() refuses and leaves the float
+  // accumulators as they were.
+  HdcConfig hc;
+  hc.dim = 256;
+  hc.classes = 2;
+  HdcClassifier model(hc);
+  core::Rng rng(5);
+  const auto feature = core::Hypervector::random(256, rng);
+  EXPECT_NO_THROW(model.update(feature, 1));  // no override yet
+  const std::vector<double> trained = model.prototype(1).counts();
+  model.set_binary_override(model.binary_prototypes());
+  EXPECT_THROW(model.update(feature, 1), std::logic_error);
+  EXPECT_EQ(model.prototype(1).counts(), trained);
+}
+
 }  // namespace
 }  // namespace hdface::learn

@@ -1,5 +1,6 @@
 #include "pipeline/fault_campaign.hpp"
 
+#include <cmath>
 #include <memory>
 #include <stdexcept>
 
@@ -24,8 +25,8 @@ HdFaceConfig campaign_config() {
 }
 
 // Trained subject, held-out set, and a planted-face scene, shared by every
-// campaign test (training dominates runtime; campaigns restore on exit, so
-// the subject stays clean between tests).
+// campaign test (training dominates runtime; a campaign faults only copies
+// of the subject, so the subject stays clean between tests).
 struct CampaignFixture {
   CampaignFixture()
       : pipeline(std::make_shared<HdFacePipeline>(campaign_config(), 16, 16, 2)),
@@ -69,6 +70,8 @@ TEST(FaultCampaign, Validates) {
   EXPECT_THROW(FaultCampaign{cc}, std::invalid_argument);
   cc = {};
   cc.rates = {1.5};
+  EXPECT_THROW(FaultCampaign{cc}, std::invalid_argument);
+  cc.rates = {0.0, std::nan("")};
   EXPECT_THROW(FaultCampaign{cc}, std::invalid_argument);
   FaultCampaign campaign;
   EXPECT_THROW(campaign.add_subject("x", nullptr, 16), std::invalid_argument);

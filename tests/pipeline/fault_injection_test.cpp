@@ -16,7 +16,7 @@
 namespace hdface::pipeline {
 namespace {
 
-HdFaceConfig session_config() {
+HdFaceConfig copy_config() {
   HdFaceConfig c;
   c.dim = 2048;
   c.mode = HdFaceMode::kHdHog;
@@ -27,13 +27,14 @@ HdFaceConfig session_config() {
   return c;
 }
 
-// One trained detector + scene, shared by the round-trip tests (training
-// dominates runtime). Tests that corrupt state past recovery build their own.
-struct SessionFixture {
-  SessionFixture()
+// One trained detector + scene, shared by every test (training dominates
+// runtime). A faulted copy only reads the detector, so no test has to put
+// anything back.
+struct CopyFixture {
+  CopyFixture()
       : detector(api::DetectorBuilder()
                      .window(16)
-                     .config(session_config())
+                     .config(copy_config())
                      .build()),
         scene(48, 48, 0.5f) {
     dataset::FaceDatasetConfig data_cfg;
@@ -49,8 +50,8 @@ struct SessionFixture {
   image::Image scene;
 };
 
-SessionFixture& fixture() {
-  static SessionFixture f;
+CopyFixture& fixture() {
+  static CopyFixture f;
   return f;
 }
 
@@ -62,10 +63,39 @@ void expect_maps_identical(const DetectionMap& a, const DetectionMap& b) {
   }
 }
 
-TEST(FaultSession, InjectThenRestoreLeavesDetectorBitIdentical) {
-  // The ISSUE acceptance criterion: scan clean, scan under an injected plan,
-  // scan clean again — the two clean maps must match bit for bit, proving
-  // restore() put every stored word back exactly.
+// A binary-prototype override unrelated to the trained accumulators, so a
+// copy that faults the wrong prototypes cannot pass by coincidence.
+std::vector<core::Hypervector> random_override(const HdFacePipeline& pipe) {
+  core::Rng rng(0x0BE5);
+  std::vector<core::Hypervector> deployed;
+  for (std::size_t c = 0; c < pipe.classifier().config().classes; ++c) {
+    deployed.push_back(core::Hypervector::random(pipe.config().dim, rng));
+  }
+  return deployed;
+}
+
+// Every stored word a scan of `pipe` reads: item- and histogram-memory
+// levels, mask-pool entries, and the binary-prototype override.
+std::vector<core::Hypervector> stored_words(HdFacePipeline& pipe) {
+  std::vector<core::Hypervector> words;
+  auto& ext = *pipe.hd_extractor();
+  for (std::size_t i = 0; i < ext.item_memory().levels(); ++i) {
+    words.push_back(ext.item_memory().level(i));
+  }
+  auto& hm = ext.mutable_histogram_memory();
+  for (std::size_t i = 0; i < hm.levels(); ++i) words.push_back(hm.level(i));
+  auto& ctx = pipe.context();
+  for (std::size_t b = 0; b < ctx.pool_buckets(); ++b) {
+    for (const auto& entry : ctx.mutable_pool_bucket(b)) words.push_back(entry);
+  }
+  for (const auto& p : pipe.classifier().binary_override()) words.push_back(p);
+  return words;
+}
+
+TEST(FaultedCopy, CleanScansAroundAFaultedScanAreBitIdentical) {
+  // Scan clean, scan under a stored-memory plan, scan clean again: the two
+  // clean maps must match bit for bit, because the faulted scan ran on a
+  // copy and never wrote the detector it was asked to fault.
   auto& f = fixture();
   api::DetectOptions clean;
   clean.threads = 2;
@@ -91,133 +121,107 @@ TEST(FaultSession, InjectThenRestoreLeavesDetectorBitIdentical) {
   }
 }
 
-TEST(FaultSession, RestoreIsIdempotentAndClearsOverride) {
-  auto& f = fixture();
-  auto& pipe = *f.detector.pipeline();
-  noise::FaultPlan plan;
-  plan.model = {noise::FaultKind::kTransientFlip, 0.05};
-  FaultSession session(pipe, plan);
-  EXPECT_TRUE(session.active());
-  EXPECT_GT(session.patched_vectors(), 0u);
-  EXPECT_TRUE(pipe.classifier().has_binary_override());
-  session.restore();
-  EXPECT_FALSE(session.active());
-  EXPECT_FALSE(pipe.classifier().has_binary_override());
-  EXPECT_NO_THROW(session.restore());  // idempotent no-op
-}
-
-// A binary-prototype override unrelated to the trained accumulators, so a
-// session that faults the wrong prototypes cannot pass by coincidence.
-std::vector<core::Hypervector> random_override(const HdFacePipeline& pipe) {
-  core::Rng rng(0x0BE5);
-  std::vector<core::Hypervector> deployed;
-  for (std::size_t c = 0; c < pipe.classifier().config().classes; ++c) {
-    deployed.push_back(core::Hypervector::random(pipe.config().dim, rng));
-  }
-  return deployed;
-}
-
-TEST(FaultSession, RestorePutsBackAPriorOverride) {
-  // A detector deployed with a binary-prototype override (as the benchmark's
-  // is) must keep it bit for bit across a prototype-faulting session, not
-  // fall back to cosine scoring.
-  auto& f = fixture();
-  auto& pipe = *f.detector.pipeline();
-  const std::vector<core::Hypervector> deployed = random_override(pipe);
-  pipe.mutable_classifier().set_binary_override(deployed);
+TEST(FaultedCopy, PriorOverrideSurvivesAPrototypePlan) {
+  // A detector deployed with a binary-prototype override (as the
+  // benchmark's is) keeps it bit for bit while a prototype-faulting plan
+  // runs on its copy, and after: it never falls back to cosine scoring.
+  HdFacePipeline deployed_pipe(*fixture().detector.pipeline());
+  const std::vector<core::Hypervector> deployed =
+      random_override(deployed_pipe);
+  deployed_pipe.mutable_classifier().set_binary_override(deployed);
   noise::FaultPlan plan;
   plan.model = {noise::FaultKind::kTransientFlip, 0.05};
   {
-    FaultSession session(pipe, plan);
-    EXPECT_NE(pipe.classifier().binary_override(), deployed);
-    session.restore();
+    const FaultedCopy faulted = faulted_copy(deployed_pipe, plan);
+    EXPECT_NE(faulted.pipeline->classifier().binary_override(), deployed);
+    EXPECT_EQ(deployed_pipe.classifier().binary_override(), deployed);
   }
-  EXPECT_TRUE(pipe.classifier().has_binary_override());
-  EXPECT_EQ(pipe.classifier().binary_override(), deployed);
-  pipe.mutable_classifier().clear_binary_override();  // leave the fixture clean
+  EXPECT_TRUE(deployed_pipe.classifier().has_binary_override());
+  EXPECT_EQ(deployed_pipe.classifier().binary_override(), deployed);
 }
 
-TEST(FaultSession, PrototypePlanFaultsTheDeployedOverride) {
+TEST(FaultedCopy, PrototypePlanFaultsTheDeployedOverride) {
   // A detector deployed with an override scores against that override, so a
   // prototype plan must fault it, not the binarized accumulators: each class
   // carries exactly its own schedule mask applied to the deployed bits.
-  auto& f = fixture();
-  auto& pipe = *f.detector.pipeline();
-  const std::vector<core::Hypervector> deployed = random_override(pipe);
-  pipe.mutable_classifier().set_binary_override(deployed);
+  HdFacePipeline deployed_pipe(*fixture().detector.pipeline());
+  const std::vector<core::Hypervector> deployed =
+      random_override(deployed_pipe);
+  deployed_pipe.mutable_classifier().set_binary_override(deployed);
   noise::FaultPlan plan;
   plan.model = {noise::FaultKind::kTransientFlip, 0.05};
   plan.item_memory = false;
-  {
-    FaultSession session(pipe, plan);
-    const auto& faulted = pipe.classifier().binary_override();
-    ASSERT_EQ(faulted.size(), deployed.size());
-    for (std::size_t c = 0; c < deployed.size(); ++c) {
-      core::Rng rng(
-          noise::fault_seed(plan.seed, noise::FaultTarget::kPrototype, c));
-      const noise::FaultMask mask =
-          noise::sample_fault_mask(plan.model, deployed[c].dim(), rng);
-      EXPECT_EQ(faulted[c], mask.applied(deployed[c])) << "class " << c;
-      EXPECT_NE(faulted[c], deployed[c]) << "class " << c;
-    }
-    session.restore();
+  const FaultedCopy copy = faulted_copy(deployed_pipe, plan);
+  const auto& faulted = copy.pipeline->classifier().binary_override();
+  ASSERT_EQ(faulted.size(), deployed.size());
+  for (std::size_t c = 0; c < deployed.size(); ++c) {
+    core::Rng rng(
+        noise::fault_seed(plan.seed, noise::FaultTarget::kPrototype, c));
+    const noise::FaultMask mask =
+        noise::sample_fault_mask(plan.model, deployed[c].dim(), rng);
+    EXPECT_EQ(faulted[c], mask.applied(deployed[c])) << "class " << c;
+    EXPECT_NE(faulted[c], deployed[c]) << "class " << c;
   }
-  EXPECT_EQ(pipe.classifier().binary_override(), deployed);
-  pipe.mutable_classifier().clear_binary_override();  // leave the fixture clean
 }
 
-TEST(FaultSession, QueryOnlySessionWritesNothing) {
-  // The serving layer runs a plan with no stored target under the shared
-  // model lock, beside clean scans, on the promise that its session writes
-  // no shared word: no patch, no faultable bit, and item memories, mask pool
-  // and a deployed override stay bit-identical while the session is open.
-  auto& f = fixture();
-  auto& pipe = *f.detector.pipeline();
-  const std::vector<core::Hypervector> deployed = random_override(pipe);
-  pipe.mutable_classifier().set_binary_override(deployed);
-  pipe.prepare_concurrent();  // the session warms the pool; snapshot it warm
-  ASSERT_NE(pipe.hd_extractor(), nullptr);
-  const auto stored_words = [&pipe] {
-    std::vector<core::Hypervector> words;
-    auto& ext = *pipe.hd_extractor();
-    for (std::size_t i = 0; i < ext.item_memory().levels(); ++i) {
-      words.push_back(ext.item_memory().level(i));
-    }
-    auto& hm = ext.mutable_histogram_memory();
-    for (std::size_t i = 0; i < hm.levels(); ++i) words.push_back(hm.level(i));
-    auto& ctx = pipe.context();
-    for (std::size_t b = 0; b < ctx.pool_buckets(); ++b) {
-      for (const auto& entry : ctx.mutable_pool_bucket(b)) {
-        words.push_back(entry);
-      }
-    }
-    return words;
+TEST(FaultedCopy, NoPlanWritesTheOriginal) {
+  // Whatever a plan targets, its copy owns every word it faults: no
+  // item-memory, histogram-memory, mask-pool or override word of the
+  // original changes. A copy that still shared the original's mask pool
+  // would fault it here.
+  HdFacePipeline original(*fixture().detector.pipeline());
+  original.mutable_classifier().set_binary_override(random_override(original));
+  original.prepare_concurrent();  // faulted_copy warms; snapshot it warm
+  ASSERT_NE(original.hd_extractor(), nullptr);
+  const std::vector<core::Hypervector> before = stored_words(original);
+
+  struct Case {
+    noise::FaultKind kind;
+    bool item_memory;
+    bool prototypes;
   };
-  const std::vector<core::Hypervector> before = stored_words();
-  ASSERT_FALSE(before.empty());
-
-  noise::FaultPlan plan;
-  plan.model = {noise::FaultKind::kTransientFlip, 0.1};
-  plan.item_memory = false;
-  plan.prototypes = false;
-  ASSERT_FALSE(plan.targets_stored_memory());
-  {
-    FaultSession session(pipe, plan);
-    EXPECT_EQ(session.patched_vectors(), 0u);
-    EXPECT_EQ(session.faultable_bits(), 0u);
-    EXPECT_EQ(session.disturbed_bits(), 0u);
-    EXPECT_TRUE(stored_words() == before);
-    EXPECT_EQ(pipe.classifier().binary_override(), deployed);
-    session.restore();
+  for (const auto& c :
+       {Case{noise::FaultKind::kTransientFlip, false, false},
+        Case{noise::FaultKind::kStuckAtZero, true, false},
+        Case{noise::FaultKind::kStuckAtOne, false, true},
+        Case{noise::FaultKind::kWordBurst, true, true}}) {
+    SCOPED_TRACE(fault_kind_name(c.kind));
+    noise::FaultPlan plan;
+    plan.model = {c.kind, 0.1};
+    plan.item_memory = c.item_memory;
+    plan.prototypes = c.prototypes;
+    const FaultedCopy faulted = faulted_copy(original, plan);
+    if (plan.targets_stored_memory()) {
+      EXPECT_GT(faulted.disturbed_bits, 0u);
+      EXPECT_FALSE(stored_words(*faulted.pipeline) == before);
+    } else {
+      EXPECT_EQ(faulted.faultable_bits, 0u);
+      EXPECT_EQ(faulted.disturbed_bits, 0u);
+    }
+    EXPECT_TRUE(stored_words(original) == before);
   }
-  EXPECT_TRUE(stored_words() == before);
-  EXPECT_EQ(pipe.classifier().binary_override(), deployed);
-  pipe.mutable_classifier().clear_binary_override();  // leave the fixture clean
 }
 
-TEST(FaultSession, DisturbanceTracksExpectedFraction) {
-  auto& f = fixture();
-  auto& pipe = *f.detector.pipeline();
+TEST(FaultedCopy, ExtractorReadsTheCopysContext) {
+  // The single-argument encode draws from the pipeline's own context. Had
+  // the copy's extractor kept the original's context, encoding through the
+  // copy would advance the original's chain, and the original's next encode
+  // would no longer match an untouched twin's first one.
+  HdFacePipeline pipe(copy_config(), 16, 16, 2);
+  HdFacePipeline twin(copy_config(), 16, 16, 2);
+  twin.prepare_concurrent();
+  const image::Image img = dataset::render_face_window(16, 77);
+  noise::FaultPlan plan;
+  plan.model = {noise::FaultKind::kTransientFlip, 0.0};
+  plan.prototypes = false;
+  const FaultedCopy faulted = faulted_copy(pipe, plan);
+  const core::Hypervector expected = twin.encode_image(img);
+  EXPECT_EQ(faulted.pipeline->encode_image(img), expected);
+  EXPECT_EQ(pipe.encode_image(img), expected);
+}
+
+TEST(FaultedCopy, DisturbanceTracksExpectedFraction) {
+  auto& pipe = *fixture().detector.pipeline();
   struct Case {
     noise::FaultKind kind;
     double rate;
@@ -227,73 +231,44 @@ TEST(FaultSession, DisturbanceTracksExpectedFraction) {
                         Case{noise::FaultKind::kWordBurst, 0.10}}) {
     noise::FaultPlan plan;
     plan.model = {c.kind, c.rate};
-    FaultSession session(pipe, plan);
-    ASSERT_GT(session.faultable_bits(), 0u);
+    const FaultedCopy faulted = faulted_copy(pipe, plan);
+    ASSERT_GT(faulted.faultable_bits, 0u);
     const double p = noise::expected_disturbed_fraction(plan.model);
-    const double observed =
-        static_cast<double>(session.disturbed_bits()) /
-        static_cast<double>(session.faultable_bits());
+    const double observed = static_cast<double>(faulted.disturbed_bits) /
+                            static_cast<double>(faulted.faultable_bits);
     // Word bursts disturb 64-bit blocks, so the effective trial count shrinks
     // by 64; 6σ over the whole faultable pool.
-    const double n = static_cast<double>(session.faultable_bits()) /
+    const double n = static_cast<double>(faulted.faultable_bits) /
                      (c.kind == noise::FaultKind::kWordBurst ? 64.0 : 1.0);
     EXPECT_NEAR(observed, p, 6.0 * std::sqrt(p * (1.0 - p) / n))
         << fault_kind_name(c.kind);
-    session.restore();
   }
 }
 
-TEST(FaultSession, RateZeroPlanStillSwitchesInferenceMode) {
+TEST(FaultedCopy, RateZeroPlanStillSwitchesInferenceMode) {
   // Clean-baseline cells of a sweep must run the same binary Hamming path as
-  // faulted cells; at rate 0 the override holds the *clean* binary
-  // prototypes.
-  auto& f = fixture();
-  auto& pipe = *f.detector.pipeline();
+  // faulted cells; at rate 0 the copy's override holds the *clean* binary
+  // prototypes, and the original keeps its cosine scoring.
+  auto& pipe = *fixture().detector.pipeline();
   noise::FaultPlan plan;
   plan.model = {noise::FaultKind::kStuckAtOne, 0.0};
-  FaultSession session(pipe, plan);
-  EXPECT_EQ(session.disturbed_bits(), 0u);
-  ASSERT_TRUE(pipe.classifier().has_binary_override());
-  EXPECT_EQ(pipe.classifier().binary_override(),
-            pipe.classifier().binary_prototypes());
-  session.restore();
+  const FaultedCopy faulted = faulted_copy(pipe, plan);
+  EXPECT_EQ(faulted.disturbed_bits, 0u);
+  const learn::HdcClassifier& copied = faulted.pipeline->classifier();
+  ASSERT_TRUE(copied.has_binary_override());
+  EXPECT_EQ(copied.binary_override(), pipe.classifier().binary_prototypes());
+  EXPECT_FALSE(pipe.classifier().has_binary_override());
 }
 
-TEST(FaultSession, RestoreThrowsWhenStorageMutatedBehindIt) {
-  // An untrained local pipeline: this test leaves storage corrupted (that is
-  // the point), so it must not share the fixture.
-  HdFacePipeline pipe(session_config(), 16, 16, 2);
-  noise::FaultPlan plan;
-  plan.model = {noise::FaultKind::kStuckAtOne, 0.1};
-  FaultSession session(pipe, plan);
-  ASSERT_NE(pipe.hd_extractor(), nullptr);
-  pipe.hd_extractor()->mutable_item_memory().mutable_level(0).flip(7);
-  EXPECT_THROW(session.restore(), std::runtime_error);
-}
-
-TEST(FaultSession, UpdateUnderOverrideThrows) {
-  learn::HdcConfig hc;
-  hc.dim = 256;
-  hc.classes = 2;
-  learn::HdcClassifier model(hc);
-  core::Rng rng(5);
-  const auto feature = core::Hypervector::random(256, rng);
-  model.update(feature, 1);  // trains fine without an override
-  model.set_binary_override(model.binary_prototypes());
-  EXPECT_THROW(model.update(feature, 1), std::logic_error);
-  model.clear_binary_override();
-  EXPECT_NO_THROW(model.update(feature, 0));
-}
-
-TEST(FaultSession, ValidatesPlan) {
-  HdFacePipeline pipe(session_config(), 16, 16, 2);
+TEST(FaultedCopy, ValidatesPlan) {
+  HdFacePipeline pipe(copy_config(), 16, 16, 2);
   noise::FaultPlan plan;
   plan.model = {noise::FaultKind::kTransientFlip, 1.5};
-  EXPECT_THROW(FaultSession(pipe, plan), std::invalid_argument);
+  EXPECT_THROW(faulted_copy(pipe, plan), std::invalid_argument);
   plan.model.rate = -0.1;
-  EXPECT_THROW(FaultSession(pipe, plan), std::invalid_argument);
+  EXPECT_THROW(faulted_copy(pipe, plan), std::invalid_argument);
   plan.model.rate = std::nan("");
-  EXPECT_THROW(FaultSession(pipe, plan), std::invalid_argument);
+  EXPECT_THROW(faulted_copy(pipe, plan), std::invalid_argument);
 }
 
 }  // namespace

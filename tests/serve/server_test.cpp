@@ -271,12 +271,50 @@ TEST(DetectionServer, HistogramCountsMatchResolvedRequests) {
   EXPECT_GE(outcome.value().timing.total, outcome.value().timing.execute);
 }
 
+// A request can pass admission (Detector::check) and still fail inside the
+// scan: here a calibrated cascade table whose dim is not the model's, which
+// only the Cascade constructor catches. Its future resolves with a typed
+// error, the worker survives to serve the next request, and accounting stays
+// conserved.
+TEST(DetectionServer, RequestFailingAfterAdmissionKeepsItsWorker) {
+  const api::Detector det = trained_detector();
+  ServerConfig config;
+  config.queue_depth = 4;
+  config.workers = 1;
+  DetectionServer server(det, config);
+
+  api::Request bad = valid_request(0);
+  bad.options.encode_mode = pipeline::EncodeMode::kCellPlane;
+  bad.options.cascade = pipeline::CascadeConfig{};
+  bad.options.cascade->mode = pipeline::CascadeMode::kCalibrated;
+  pipeline::CascadeTable& table = bad.options.cascade->table;
+  table.dim = 2048;  // trained_detector() builds D = 1024
+  table.classes = 2;
+  table.positive_class = bad.options.positive_class;
+  table.stages = {{1, 0.0}};
+  ASSERT_FALSE(det.check(bad).has_value());
+  auto failing = server.submit(std::move(bad));
+  ASSERT_TRUE(failing.admitted());
+  const auto failed = failing.response.get();
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(failed.error().code, api::ErrorCode::kInvalidOptions);
+  EXPECT_EQ(server.stats().counters.failed, 1u);
+
+  auto next = server.submit(valid_request(1));
+  ASSERT_TRUE(next.admitted());
+  EXPECT_TRUE(next.response.get().ok());
+  const auto stats = server.stats();
+  EXPECT_EQ(stats.counters.completed, 1u);
+  EXPECT_EQ(stats.counters.failed, 1u);
+  EXPECT_TRUE(stats.conserved());
+}
+
 // Served results must be bit-identical to direct Detector::detect calls —
 // at any worker count, under concurrent submission, for clean and faulted
-// requests alike. Both lock modes race clean scans: a stored-memory plan
-// mutates shared pipeline state under the exclusive model lock, a
-// query-only plan shares the lock with clean scans and must write nothing
-// they read (the tsan leg runs this test).
+// requests alike. Both plan kinds race clean scans with no model lock: a
+// stored-memory plan scans a private faulted copy of the model, and a
+// query-only plan scans the shared model; neither may write anything a
+// clean scan reads (the tsan leg runs this test).
 TEST(DetectionServer, ConcurrentServingIsBitIdenticalToDirectCalls) {
   const api::Detector det = trained_detector();
 
@@ -304,7 +342,7 @@ TEST(DetectionServer, ConcurrentServingIsBitIdenticalToDirectCalls) {
         plan.model.kind = noise::FaultKind::kTransientFlip;
         plan.model.rate = 1e-3;
         plan.seed = 0xFA + i;
-        if (i % 4 == 3) {  // query-only: takes the shared lock
+        if (i % 4 == 3) {  // query-only: scans the shared model
           plan.item_memory = false;
           plan.prototypes = false;
         }

@@ -438,14 +438,13 @@ const std::vector<std::pair<std::string, std::string>>& rules() {
        "worker-pool destructor does) or hand the work to util::ThreadPool"},
       {"raw-mutex-type",
        "raw std:: synchronization primitive outside src/util/mutex.hpp: use "
-       "util::Mutex / util::SharedMutex / util::CondVar so Clang "
-       "thread-safety analysis sees the capability and GUARDED_BY "
-       "annotations can name it"},
+       "util::Mutex / util::CondVar so Clang thread-safety analysis sees the "
+       "capability and GUARDED_BY annotations can name it"},
       {"manual-lock-unlock",
        "manual .lock()/.unlock() outside the annotated wrapper: an early "
        "return or exception between the calls leaks the lock — use the RAII "
-       "guards (util::MutexLock / WriterMutexLock / ReaderMutexLock), which "
-       "the thread-safety analysis also understands"},
+       "guard util::MutexLock, which the thread-safety analysis also "
+       "understands"},
       {"sleep-as-sync",
        "sleep on a code path: sleeping until another thread 'should be' "
        "done is a race that happens to pass — synchronize with condition "

@@ -4,7 +4,7 @@
 // HDFace sources.
 //
 // The repository's headline guarantees (bit-reproducible detection at any
-// thread count, checksum-verified fault injection/restore, compiler-checked
+// thread count, schedule-deterministic fault injection, compiler-checked
 // lock discipline) rest on invariants the compiler cannot see: all randomness
 // flows through the counter-based core::Rng, nothing reads the wall clock on
 // a result path, no accumulation depends on unordered iteration or thread
