@@ -58,42 +58,8 @@ std::optional<Error> validate(const DetectOptions& options) {
           " does not match options.positive_class " +
           std::to_string(options.positive_class));
     }
-    if (table.dim == 0 || table.classes < 2) {
-      return Error::invalid_options(
-          "DetectOptions: cascade table has degenerate dim/classes");
-    }
-    if (table.stages.empty()) {
-      return Error::invalid_options(
-          "DetectOptions: cascade table has no stages");
-    }
-    std::size_t prev_words = 0;
-    for (const pipeline::CascadeStage& stage : table.stages) {
-      if (stage.words <= prev_words) {
-        return Error::invalid_options(
-            "DetectOptions: cascade stage words must be strictly ascending");
-      }
-      if (!std::isfinite(stage.reject_below)) {
-        return Error::invalid_options(
-            "DetectOptions: cascade stage threshold not finite");
-      }
-      prev_words = stage.words;
-    }
-    if (table.prescreen_words > 0) {
-      if (!std::isfinite(table.prescreen_reject_below)) {
-        return Error::invalid_options(
-            "DetectOptions: cascade prescreen threshold not finite");
-      }
-      if (!std::isfinite(table.prescreen_vmax) || table.prescreen_vmax <= 0.0) {
-        return Error::invalid_options(
-            "DetectOptions: cascade prescreen normalization scale must be "
-            "positive and finite");
-      }
-      if (!std::isfinite(table.prescreen_spread_below) ||
-          table.prescreen_spread_below < 0.0) {
-        return Error::invalid_options(
-            "DetectOptions: cascade prescreen spread floor must be finite "
-            "and >= 0");
-      }
+    if (const auto why = pipeline::cascade_table_error(table)) {
+      return Error::invalid_options("DetectOptions: cascade table: " + *why);
     }
   }
   return std::nullopt;

@@ -236,8 +236,8 @@ struct DetectOptions {
   // encode_mode == kCellPlane (the per-window encode has no cheap prefix), a
   // table whose positive_class matches this call's, and no fault_plan —
   // validate() rejects those combinations with typed errors, along with
-  // structurally malformed tables (no stages, non-ascending stage words,
-  // non-finite thresholds).
+  // tables pipeline::cascade_table_error rejects (no stages, stage or
+  // prescreen words past ceil(dim / 64), non-finite thresholds, ...).
   std::optional<pipeline::CascadeConfig> cascade;
 };
 
@@ -246,7 +246,8 @@ struct DetectOptions {
 // included) — plus the cross-field contracts the engine would otherwise only
 // trip deep inside a scan: a calibrated cascade without kCellPlane, with a
 // fault_plan, with a positive_class mismatched against its table, or with a
-// structurally malformed table. Returns nullopt when the options are usable.
+// table that pipeline::cascade_table_error rejects. Returns nullopt when the
+// options are usable.
 // It cannot see a model, so Detector runs it inside its own check, which
 // adds the positive_class range; that check serves the Request path (typed
 // Error), the legacy wrappers (InvalidOptionsError) and serving admission

@@ -78,14 +78,6 @@ void hamming_block_scalar(const std::uint64_t* query,
   }
 }
 
-void hamming_block_range_scalar(const std::uint64_t* query,
-                                const std::uint64_t* block, std::size_t word_lo,
-                                std::size_t word_hi, std::size_t count,
-                                std::size_t stride, std::uint64_t* out) {
-  hamming_block_scalar(query + word_lo, block + word_lo * stride,
-                       word_hi - word_lo, count, stride, out);
-}
-
 void add_xor_weighted_scalar(const std::uint64_t* a, const std::uint64_t* b,
                              std::size_t dim, double weight, double* counts) {
   // XOR bits are near-uniform, so a conditional here would mispredict ~50% of
@@ -242,13 +234,12 @@ const KernelTable& auto_table() {
 
 const KernelTable& scalar_table() {
   static const KernelTable table = {
-      Backend::kScalar,            &xor_words_scalar,
-      &and_words_scalar,           &or_words_scalar,
-      &not_words_scalar,           &popcount_words_scalar,
-      &hamming_words_scalar,       &hamming_block_scalar,
-      &hamming_block_range_scalar, &add_xor_weighted_scalar,
-      &threshold_words_scalar,     &bundle_words_scalar,
-      &select_rotated_scalar};
+      Backend::kScalar,         &xor_words_scalar,
+      &and_words_scalar,        &or_words_scalar,
+      &not_words_scalar,        &popcount_words_scalar,
+      &hamming_words_scalar,    &hamming_block_scalar,
+      &add_xor_weighted_scalar, &threshold_words_scalar,
+      &bundle_words_scalar,     &select_rotated_scalar};
   return table;
 }
 

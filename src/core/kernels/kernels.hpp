@@ -26,13 +26,17 @@
 //   * threshold_words and bundle_words only compare against zero (exact)
 //     and leave the tie-breaking RNG draws to the caller so the draw order
 //     is the scalar order (ascending dimension, zeros only).
-// The op-counter charges are caller-side (hamming_many, Accumulator) and
-// depend only on word/dimension counts, so switching backends never changes
-// an op total either. This is what lets the determinism suites, the
-// fault-injection goldens, and the scalar-vs-SIMD CI hash diff treat the
-// backend as a pure performance knob. All kernels preserve the
-// tail-word-zero invariant: they never read or write bits at or beyond
-// `dim` other than as stored (callers keep tail bits zero).
+// No kernel takes a word range: a caller scores words [lo, hi) by passing
+// offset pointers (PrototypeBlock::hamming_many_range runs hamming_block on
+// query + lo and block + lo · stride), so a range is exact by the same
+// argument as the whole. The op-counter charges are caller-side
+// (hamming_many, Accumulator) and depend only on word/dimension counts, so
+// switching backends never changes an op total either. This is what lets
+// the determinism suites, the fault-injection goldens, and the
+// scalar-vs-SIMD CI hash diff treat the backend as a pure performance
+// knob. All kernels preserve the tail-word-zero invariant: they never read
+// or write bits at or beyond `dim` other than as stored (callers keep tail
+// bits zero).
 //
 // Selection order: HDFACE_KERNEL_BACKEND environment variable (scalar |
 // avx2 | avx512 | neon | auto) when set, otherwise the best backend the
@@ -102,19 +106,6 @@ struct KernelTable {
   void (*hamming_block)(const std::uint64_t* query, const std::uint64_t* block,
                         std::size_t words, std::size_t count,
                         std::size_t stride, std::uint64_t* out);
-
-  // Word-range (prefix) variant of hamming_block for the early-reject
-  // cascade: out[c] = Σ_{w ∈ [word_lo, word_hi)} popcount(query[w] ^
-  // block[w * stride + c]). `query` and `block` are the FULL vectors (the
-  // kernel applies the word offset itself), so tiling [0, words) into
-  // consecutive ranges sums to exactly the hamming_block result per lane.
-  // Every backend delegates to its own hamming_block on offset pointers, so
-  // range results are bit-identical to scalar by the same argument as the
-  // full kernel. Requires word_lo ≤ word_hi ≤ words of the block.
-  void (*hamming_block_range)(const std::uint64_t* query,
-                              const std::uint64_t* block, std::size_t word_lo,
-                              std::size_t word_hi, std::size_t count,
-                              std::size_t stride, std::uint64_t* out);
 
   // Weighted-bundling hot loop: counts[i] += (bit i of a^b) ? +weight
   // : -weight for i < dim (the Accumulator::add_xor branchless ±weight

@@ -293,28 +293,16 @@ struct Avx2Vec {
   static std::uint64_t reduce(Vec acc) { return hsum_epi64(acc); }
 };
 
-// Prefix/range variant: a hamming_block over the words [word_lo, word_hi),
-// run by this backend's own block kernel on offset pointers — bit-identity
-// to scalar follows from the full kernel's.
-void hamming_block_range_avx2(const std::uint64_t* query,
-                              const std::uint64_t* block, std::size_t word_lo,
-                              std::size_t word_hi, std::size_t count,
-                              std::size_t stride, std::uint64_t* out) {
-  hamming_block_avx2(query + word_lo, block + word_lo * stride,
-                     word_hi - word_lo, count, stride, out);
-}
-
 }  // namespace
 
 const KernelTable& avx2_table() {
   static const KernelTable table = {
-      Backend::kAvx2,            &xor_words_avx2,
-      &and_words_avx2,           &or_words_avx2,
-      &not_words_avx2,           &popcount_words_avx2,
-      &hamming_words_avx2,       &hamming_block_avx2,
-      &hamming_block_range_avx2, &add_xor_weighted_avx2,
-      &threshold_words_avx2,     &bundle_words_avx2,
-      &select_rotated_simd<Avx2Vec>};
+      Backend::kAvx2,         &xor_words_avx2,
+      &and_words_avx2,        &or_words_avx2,
+      &not_words_avx2,        &popcount_words_avx2,
+      &hamming_words_avx2,    &hamming_block_avx2,
+      &add_xor_weighted_avx2, &threshold_words_avx2,
+      &bundle_words_avx2,     &select_rotated_simd<Avx2Vec>};
   return table;
 }
 

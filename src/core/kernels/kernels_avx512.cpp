@@ -294,28 +294,16 @@ struct Avx512Vec {
   }
 };
 
-// Prefix/range variant: a hamming_block over the words [word_lo, word_hi),
-// run by this backend's own block kernel on offset pointers — bit-identity
-// to scalar follows from the full kernel's.
-void hamming_block_range_avx512(const std::uint64_t* query,
-                                const std::uint64_t* block, std::size_t word_lo,
-                                std::size_t word_hi, std::size_t count,
-                                std::size_t stride, std::uint64_t* out) {
-  hamming_block_avx512(query + word_lo, block + word_lo * stride,
-                       word_hi - word_lo, count, stride, out);
-}
-
 }  // namespace
 
 const KernelTable& avx512_table() {
   static const KernelTable table = {
-      Backend::kAvx512,            &xor_words_avx512,
-      &and_words_avx512,           &or_words_avx512,
-      &not_words_avx512,           &popcount_words_avx512,
-      &hamming_words_avx512,       &hamming_block_avx512,
-      &hamming_block_range_avx512, &add_xor_weighted_avx512,
-      &threshold_words_avx512,     &bundle_words_avx512,
-      &select_rotated_simd<Avx512Vec>};
+      Backend::kAvx512,         &xor_words_avx512,
+      &and_words_avx512,        &or_words_avx512,
+      &not_words_avx512,        &popcount_words_avx512,
+      &hamming_words_avx512,    &hamming_block_avx512,
+      &add_xor_weighted_avx512, &threshold_words_avx512,
+      &bundle_words_avx512,     &select_rotated_simd<Avx512Vec>};
   return table;
 }
 

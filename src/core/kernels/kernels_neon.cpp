@@ -224,28 +224,16 @@ struct NeonVec {
   static std::uint64_t reduce(Vec acc) { return vaddvq_u64(acc); }
 };
 
-// Prefix/range variant: a hamming_block over the words [word_lo, word_hi),
-// run by this backend's own block kernel on offset pointers — bit-identity
-// to scalar follows from the full kernel's.
-void hamming_block_range_neon(const std::uint64_t* query,
-                              const std::uint64_t* block, std::size_t word_lo,
-                              std::size_t word_hi, std::size_t count,
-                              std::size_t stride, std::uint64_t* out) {
-  hamming_block_neon(query + word_lo, block + word_lo * stride,
-                     word_hi - word_lo, count, stride, out);
-}
-
 }  // namespace
 
 const KernelTable& neon_table() {
   static const KernelTable table = {
-      Backend::kNeon,            &xor_words_neon,
-      &and_words_neon,           &or_words_neon,
-      &not_words_neon,           &popcount_words_neon,
-      &hamming_words_neon,       &hamming_block_neon,
-      &hamming_block_range_neon, &add_xor_weighted_neon,
-      &threshold_words_neon,     &bundle_words_neon,
-      &select_rotated_simd<NeonVec>};
+      Backend::kNeon,         &xor_words_neon,
+      &and_words_neon,        &or_words_neon,
+      &not_words_neon,        &popcount_words_neon,
+      &hamming_words_neon,    &hamming_block_neon,
+      &add_xor_weighted_neon, &threshold_words_neon,
+      &bundle_words_neon,     &select_rotated_simd<NeonVec>};
   return table;
 }
 

@@ -120,32 +120,7 @@ Hypervector PrototypeBlock::get(std::size_t c) const {
 void PrototypeBlock::hamming_many(const Hypervector& query,
                                   std::span<std::size_t> out,
                                   OpCounter* counter) const {
-  if (out.size() != count_) {
-    throw std::invalid_argument("PrototypeBlock: output size mismatch");
-  }
-  if (count_ == 0) return;
-  if (query.dim() != dim_) {
-    throw std::invalid_argument("PrototypeBlock: dimensionality mismatch");
-  }
-  // The kernel writes uint64 lane sums; size_t may be a distinct type, so
-  // stage through a word buffer (stack for the common few-class case).
-  std::array<std::uint64_t, 64> stack{};
-  std::vector<std::uint64_t> heap;
-  std::uint64_t* sums = stack.data();
-  if (count_ > stack.size()) {
-    heap.resize(count_);
-    sums = heap.data();
-  }
-  kernels::active().hamming_block(query.words().data(), data_, words_, count_,
-                                  stride_, sums);
-  for (std::size_t c = 0; c < count_; ++c) {
-    out[c] = static_cast<std::size_t>(sums[c]);
-  }
-  if (counter) {
-    const auto ops = static_cast<std::uint64_t>(words_) * count_;
-    counter->add(OpKind::kWordLogic, ops);
-    counter->add(OpKind::kPopcount, ops);
-  }
+  hamming_many_range(query, 0, words_, out, counter);
 }
 
 std::vector<std::size_t> PrototypeBlock::hamming_many(const Hypervector& query,
@@ -177,8 +152,11 @@ void PrototypeBlock::hamming_many_range(const Hypervector& query,
     heap.resize(count_);
     sums = heap.data();
   }
-  kernels::active().hamming_block_range(query.words().data(), data_, word_lo,
-                                        word_hi, count_, stride_, sums);
+  // A word range is the block kernel on offset pointers: row word_lo of the
+  // interleaved block starts at data_ + word_lo · stride_.
+  kernels::active().hamming_block(query.words().data() + word_lo,
+                                  data_ + word_lo * stride_, word_hi - word_lo,
+                                  count_, stride_, sums);
   for (std::size_t c = 0; c < count_; ++c) {
     out[c] = static_cast<std::size_t>(sums[c]);
   }

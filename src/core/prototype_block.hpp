@@ -57,11 +57,11 @@ class PrototypeBlock {
   // Reconstructs prototype c (bounds-checked; for tests and serialization).
   Hypervector get(std::size_t c) const;
 
-  // out[c] = hamming(query, prototype c) for every lane, via the active
-  // kernel backend's SoA hamming_block. Exactly equal to the per-prototype
-  // hamming() loop; charges words × count kWordLogic + kPopcount to
-  // `counter` (the same as the AoS hamming_many). Throws
-  // std::invalid_argument on dimensionality or size mismatch.
+  // out[c] = hamming(query, prototype c) for every lane: hamming_many_range
+  // over every word. Exactly equal to the per-prototype hamming() loop;
+  // charges words × count kWordLogic + kPopcount to `counter` (the same as
+  // the AoS hamming_many). Throws std::invalid_argument on dimensionality or
+  // size mismatch.
   void hamming_many(const Hypervector& query, std::span<std::size_t> out,
                     OpCounter* counter = nullptr) const;
 
@@ -69,7 +69,8 @@ class PrototypeBlock {
   std::vector<std::size_t> hamming_many(const Hypervector& query,
                                         OpCounter* counter = nullptr) const;
 
-  // Prefix/range variant for the early-reject cascade (pipeline/cascade.hpp):
+  // Prefix/range variant for the early-reject cascade (pipeline/cascade.hpp),
+  // run by the active backend's hamming_block on pointers offset to word_lo:
   // out[c] = Hamming distance over only the words [word_lo, word_hi), so the
   // partial sums over a tiling of [0, words()) add up to exactly
   // hamming_many's result per lane. Bits of `query` outside the range are

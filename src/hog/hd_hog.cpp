@@ -482,7 +482,7 @@ double HdHogExtractor::gather_plane_slots_prescreen(
     const CellPlane& plane, std::size_t origin_x, std::size_t origin_y,
     double norm_scale,
     std::vector<const core::Hypervector*>& hvs,
-    std::vector<double>& values) const {
+    std::vector<double>& values, double& subset_vmax) const {
   if (plane.bins != config_.hog.bins ||
       plane.cell_size != config_.hog.cell_size) {
     throw std::invalid_argument(
@@ -540,6 +540,7 @@ double HdHogExtractor::gather_plane_slots_prescreen(
     values[i] = normalized;
     hvs[i] = &histogram_memory_.at_value(normalized);
   }
+  subset_vmax = vmax;
   return spread;
 }
 
@@ -574,7 +575,7 @@ void HdHogExtractor::StagedWindow::reset_prescreen(const CellPlane& plane,
                                                    std::size_t origin_y,
                                                    double norm_scale) {
   prescreen_spread_ = extractor_.gather_plane_slots_prescreen(
-      plane, origin_x, origin_y, norm_scale, hvs_, values_);
+      plane, origin_x, origin_y, norm_scale, hvs_, values_, prescreen_vmax_);
   tie_rng_ = core::Rng(extractor_.bundler_.tie_seed());
   assembled_words_ = 0;
 }

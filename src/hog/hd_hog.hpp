@@ -198,6 +198,9 @@ class HdHogExtractor {
     // reset_prescreen (raw histogram mass off bin 0 — see
     // gather_plane_slots_prescreen). Meaningless after a plain reset().
     double prescreen_spread() const { return prescreen_spread_; }
+    // That subset's floored vmax: what norm_scale = 0 divides by, and what
+    // calibration takes the median of for CascadeTable::prescreen_vmax.
+    double prescreen_vmax() const { return prescreen_vmax_; }
 
     // Extends the materialized feature to exactly `word_hi` words (no-op when
     // already there) and returns it. Only words [0, assembled_words()) of the
@@ -221,6 +224,7 @@ class HdHogExtractor {
     core::Hypervector feature_;
     std::size_t assembled_words_ = 0;
     double prescreen_spread_ = 0.0;
+    double prescreen_vmax_ = 0.0;
   };
 
   // Single bundled feature hypervector (the HDC learner's input).
@@ -278,7 +282,8 @@ class HdHogExtractor {
                           std::vector<double>& values) const;
 
   // Parity-subset gather for StagedWindow::reset_prescreen (see its doc).
-  // Returns the subset's orientation-spread energy: Σ over included cells of
+  // Writes the subset's floored vmax to `subset_vmax` and returns its
+  // orientation-spread energy: Σ over included cells of
   // Σ_{b ≥ 1} |raw_b|, i.e. the total raw histogram mass OFF bin 0. Zero
   // gradient resolves to bin 0 (atan2(0, 0)), so a structureless cell parks
   // its entire mass there and contributes ~nothing, while any oriented
@@ -288,7 +293,7 @@ class HdHogExtractor {
   double gather_plane_slots_prescreen(
       const CellPlane& plane, std::size_t origin_x, std::size_t origin_y,
       double norm_scale, std::vector<const core::Hypervector*>& hvs,
-      std::vector<double>& values) const;
+      std::vector<double>& values, double& subset_vmax) const;
 
   // The fused cell kernel (see the batched cell_raw_values overload).
   void cell_raw_values_fused(const image::Image& img,

@@ -1,6 +1,8 @@
 #include "pipeline/cascade.hpp"
 
 #include <algorithm>
+#include <cctype>
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -32,44 +34,54 @@ constexpr std::uint32_t kCascadeTableVersion = 1;
 // tables stay byte-identical to every v1 reader/writer.
 constexpr std::uint32_t kCascadeTableVersionPrescreen = 2;
 
-void validate_stages(const CascadeTable& table, std::size_t total_words) {
-  if (table.stages.empty()) {
-    throw std::invalid_argument("Cascade: table has no stages");
+// Best rival of the positive class by running distance. Lowest class index
+// wins exact ties — matching argmax-by-first-max of the exact path's tie
+// convention.
+std::size_t best_rival(const std::vector<std::size_t>& cum, std::size_t pos) {
+  std::size_t best = pos == 0 ? 1 : 0;
+  for (std::size_t c = 0; c < cum.size(); ++c) {
+    if (c != pos && cum[c] < cum[best]) best = c;
   }
-  std::size_t prev = 0;
-  for (const CascadeStage& s : table.stages) {
-    if (s.words <= prev || s.words > total_words) {
-      throw std::invalid_argument(
-          "Cascade: stage words must be strictly ascending within "
-          "(0, feature words]");
-    }
-    if (!std::isfinite(s.reject_below)) {
-      throw std::invalid_argument("Cascade: non-finite stage threshold");
-    }
-    prev = s.words;
-  }
-  if (table.prescreen_words > total_words) {
-    throw std::invalid_argument(
-        "Cascade: prescreen words exceed the feature words");
-  }
-  if (table.prescreen_words > 0) {
-    if (!std::isfinite(table.prescreen_reject_below)) {
-      throw std::invalid_argument("Cascade: non-finite prescreen threshold");
-    }
-    if (!std::isfinite(table.prescreen_vmax) || table.prescreen_vmax <= 0.0) {
-      throw std::invalid_argument(
-          "Cascade: prescreen normalization scale must be a positive finite "
-          "value");
-    }
-    if (!std::isfinite(table.prescreen_spread_below) ||
-        table.prescreen_spread_below < 0.0) {
-      throw std::invalid_argument(
-          "Cascade: prescreen spread floor must be finite and >= 0");
-    }
-  }
+  return best;
 }
 
 }  // namespace
+
+std::optional<std::string> cascade_table_error(const CascadeTable& table) {
+  if (table.dim == 0 || table.classes < 2) return "degenerate dim/classes";
+  if (table.positive_class < 0 ||
+      static_cast<std::size_t>(table.positive_class) >= table.classes) {
+    return "positive_class out of range";
+  }
+  if (table.stages.empty()) return "table has no stages";
+  // ceil(dim / 64) without the overflow of (dim + 63) / 64 on parsed input.
+  const std::size_t words = table.dim / 64 + (table.dim % 64 != 0 ? 1 : 0);
+  std::size_t prev = 0;
+  for (const CascadeStage& s : table.stages) {
+    if (s.words <= prev || s.words > words) {
+      return "stage words must be strictly ascending within "
+             "(0, ceil(dim / 64)]";
+    }
+    if (!std::isfinite(s.reject_below)) return "non-finite stage threshold";
+    prev = s.words;
+  }
+  if (table.prescreen_words > words) {
+    return "prescreen words exceed ceil(dim / 64)";
+  }
+  if (table.prescreen_words > 0) {
+    if (!std::isfinite(table.prescreen_reject_below)) {
+      return "non-finite prescreen threshold";
+    }
+    if (!std::isfinite(table.prescreen_vmax) || table.prescreen_vmax <= 0.0) {
+      return "prescreen normalization scale must be a positive finite value";
+    }
+    if (!std::isfinite(table.prescreen_spread_below) ||
+        table.prescreen_spread_below < 0.0) {
+      return "prescreen spread floor must be finite and >= 0";
+    }
+  }
+  return std::nullopt;
+}
 
 Cascade::Cascade(const learn::HdcClassifier& classifier,
                  const CascadeTable& table)
@@ -83,12 +95,8 @@ Cascade::Cascade(const learn::HdcClassifier& classifier,
     throw std::invalid_argument(
         "Cascade: table class count mismatches the classifier");
   }
-  if (cfg.classes < 2) {
-    throw std::invalid_argument("Cascade: need at least two classes");
-  }
-  if (table.positive_class < 0 ||
-      static_cast<std::size_t>(table.positive_class) >= cfg.classes) {
-    throw std::invalid_argument("Cascade: positive_class out of range");
+  if (const auto why = cascade_table_error(table)) {
+    throw std::invalid_argument("Cascade: " + *why);
   }
   // The prefix stages score against the binarized prototypes — the same
   // thresholded representation the binary inference path deploys. Rejection
@@ -98,69 +106,67 @@ Cascade::Cascade(const learn::HdcClassifier& classifier,
   const std::vector<core::Hypervector> protos = classifier.binary_prototypes();
   prototypes_ = core::PrototypeBlock(protos);
   total_words_ = prototypes_.words();
-  validate_stages(table_, total_words_);
 }
 
-double Cascade::margin_of(std::span<const std::size_t> cum_distances,
-                          std::size_t prefix_dims, int positive_class) {
-  const auto pos = static_cast<std::size_t>(positive_class);
-  std::size_t best_rival = std::numeric_limits<std::size_t>::max();
-  for (std::size_t c = 0; c < cum_distances.size(); ++c) {
-    if (c == pos) continue;
-    best_rival = std::min(best_rival, cum_distances[c]);
-  }
+double Cascade::step(hog::HdHogExtractor::StagedWindow& window,
+                     std::size_t word_lo, std::size_t word_hi,
+                     Scratch& scratch, core::OpCounter* counter) const {
+  const std::size_t classes = prototypes_.count();
+  if (word_lo == 0) scratch.cum.assign(classes, 0);
+  scratch.part.resize(classes);
+  const core::Hypervector& prefix = window.assemble_to(word_hi, counter);
+  prototypes_.hamming_many_range(prefix, word_lo, word_hi, scratch.part,
+                                 counter);
+  for (std::size_t c = 0; c < classes; ++c) scratch.cum[c] += scratch.part[c];
   // Positive leads when rivals are FARTHER (larger Hamming distance), so the
   // margin is rival − positive, normalized per prefix dimension.
-  return (static_cast<double>(best_rival) -
-          static_cast<double>(cum_distances[pos])) /
+  const auto pos = static_cast<std::size_t>(table_.positive_class);
+  const std::size_t prefix_dims = std::min(prototypes_.dim(), word_hi * 64);
+  return (static_cast<double>(scratch.cum[best_rival(scratch.cum, pos)]) -
+          static_cast<double>(scratch.cum[pos])) /
          static_cast<double>(prefix_dims);
+}
+
+double Cascade::stage_margin(std::size_t s,
+                             hog::HdHogExtractor::StagedWindow& window,
+                             Scratch& scratch, core::OpCounter* counter) const {
+  const std::size_t word_lo = s == 0 ? 0 : table_.stages[s - 1].words;
+  return step(window, word_lo, table_.stages[s].words, scratch, counter);
+}
+
+double Cascade::prescreen_margin(hog::HdHogExtractor::StagedWindow& window,
+                                 Scratch& scratch,
+                                 core::OpCounter* counter) const {
+  return step(window, 0, table_.prescreen_words, scratch, counter);
+}
+
+Cascade::Result Cascade::rejected(const Scratch& scratch, std::size_t words,
+                                  std::size_t stage) const {
+  // Best rival as prediction; the normalized prefix similarity of the
+  // positive class, the same δ = 1 − 2H/D statistic the binary inference
+  // path reports, as score.
+  const auto pos = static_cast<std::size_t>(table_.positive_class);
+  const std::size_t prefix_dims = std::min(prototypes_.dim(), words * 64);
+  const double score = 1.0 - 2.0 * static_cast<double>(scratch.cum[pos]) /
+                                 static_cast<double>(prefix_dims);
+  return {static_cast<int>(best_rival(scratch.cum, pos)), score, true, stage};
 }
 
 Cascade::Result Cascade::classify(const learn::HdcClassifier& classifier,
                                   hog::HdHogExtractor::StagedWindow& window,
                                   Scratch& scratch, CascadeStats& stats,
                                   core::OpCounter* counter) const {
-  const std::size_t classes = prototypes_.count();
-  const auto pos = static_cast<std::size_t>(table_.positive_class);
   if (stats.stages.size() < table_.stages.size()) {
     stats.stages.resize(table_.stages.size());
   }
-  scratch.cum.assign(classes, 0);
-  scratch.part.resize(classes);
   ++stats.windows;
-
-  std::size_t prev_words = 0;
   for (std::size_t s = 0; s < table_.stages.size(); ++s) {
-    const CascadeStage& stage = table_.stages[s];
-    const core::Hypervector& prefix = window.assemble_to(stage.words, counter);
-    prototypes_.hamming_many_range(prefix, prev_words, stage.words,
-                                   scratch.part, counter);
-    for (std::size_t c = 0; c < classes; ++c) scratch.cum[c] += scratch.part[c];
-    const std::size_t prefix_dims =
-        std::min(prototypes_.dim(), stage.words * 64);
-    const double m = margin_of(scratch.cum, prefix_dims,
-                               table_.positive_class);
+    const double m = stage_margin(s, window, scratch, counter);
     ++stats.stages[s].entered;
-    if (m < stage.reject_below) {
+    if (m < table_.stages[s].reject_below) {
       ++stats.stages[s].rejected;
-      Result r;
-      r.rejected = true;
-      r.stage = s;
-      // Best rival by prefix distance (lowest class index wins exact ties —
-      // matching argmax-by-first-max of the exact path's tie convention).
-      std::size_t best = pos == 0 ? 1 : 0;
-      for (std::size_t c = 0; c < classes; ++c) {
-        if (c == pos) continue;
-        if (scratch.cum[c] < scratch.cum[best]) best = c;
-      }
-      r.prediction = static_cast<int>(best);
-      // Normalized prefix similarity of the positive class, the same
-      // δ = 1 − 2H/D statistic the binary inference path reports.
-      r.score = 1.0 - 2.0 * static_cast<double>(scratch.cum[pos]) /
-                          static_cast<double>(prefix_dims);
-      return r;
+      return rejected(scratch, table_.stages[s].words, s);
     }
-    prev_words = stage.words;
   }
 
   // Survivor: full feature, unchanged exact scoring — bit-identical to the
@@ -173,28 +179,15 @@ Cascade::Result Cascade::classify(const learn::HdcClassifier& classifier,
   r.prediction = static_cast<int>(
       std::max_element(class_scores.begin(), class_scores.end()) -
       class_scores.begin());
-  r.score = class_scores[pos];
+  r.score = class_scores[static_cast<std::size_t>(table_.positive_class)];
   return r;
 }
 
 Cascade::Result Cascade::prescreen(hog::HdHogExtractor::StagedWindow& window,
                                    Scratch& scratch, CascadeStats& stats,
                                    core::OpCounter* counter) const {
-  const std::size_t classes = prototypes_.count();
-  const auto pos = static_cast<std::size_t>(table_.positive_class);
-  scratch.cum.assign(classes, 0);
   ++stats.prescreen_entered;
-
-  // The prescreen bundle (parity cells only) shares nothing with the staged
-  // feature, so the whole prefix scores in one range pass into cum directly.
-  const core::Hypervector& prefix =
-      window.assemble_to(table_.prescreen_words, counter);
-  prototypes_.hamming_many_range(prefix, 0, table_.prescreen_words,
-                                 scratch.cum, counter);
-  const std::size_t prefix_dims =
-      std::min(prototypes_.dim(), table_.prescreen_words * 64);
-  const double m = margin_of(scratch.cum, prefix_dims, table_.positive_class);
-  Result r;
+  const double m = prescreen_margin(window, scratch, counter);
   // Union reject: the prefix-Hamming margin catches windows that resemble a
   // rival class, the orientation-spread floor catches structureless windows
   // whose bundle is far from EVERY prototype (their margin is uninformative —
@@ -204,21 +197,9 @@ Cascade::Result Cascade::prescreen(hog::HdHogExtractor::StagedWindow& window,
   if (m < table_.prescreen_reject_below ||
       window.prescreen_spread() < table_.prescreen_spread_below) {
     ++stats.prescreen_rejected;
-    r.rejected = true;
-    r.stage = 0;
-    // Same rejected-window reporting convention as a stage rejection: best
-    // rival by prefix distance (lowest index on exact ties), normalized
-    // positive similarity 1 − 2H/d as the score.
-    std::size_t best = pos == 0 ? 1 : 0;
-    for (std::size_t c = 0; c < classes; ++c) {
-      if (c == pos) continue;
-      if (scratch.cum[c] < scratch.cum[best]) best = c;
-    }
-    r.prediction = static_cast<int>(best);
-    r.score = 1.0 - 2.0 * static_cast<double>(scratch.cum[pos]) /
-                        static_cast<double>(prefix_dims);
+    return rejected(scratch, table_.prescreen_words, 0);
   }
-  return r;
+  return {};
 }
 
 // --- offline calibration ----------------------------------------------------
@@ -238,15 +219,20 @@ CascadeTable calibrate_cascade(HdFacePipeline& pipeline,
         "calibrate_cascade: cascade calibration requires an HD-HOG pipeline");
   }
   const learn::HdcClassifier& classifier = pipeline.classifier();
-  const std::size_t dim = classifier.config().dim;
-  const std::size_t classes = classifier.config().classes;
-  const std::size_t total_words = (dim + 63) / 64;
+  // The table's skeleton: everything but the thresholds.
+  CascadeTable table;
+  table.seed = pipeline.config().seed;
+  table.dim = classifier.config().dim;
+  table.classes = classifier.config().classes;
+  table.positive_class = config.positive_class;
+  table.window = config.window;
+  table.stride = config.stride;
+  const std::size_t total_words = (table.dim + 63) / 64;
 
   // Map fractions to cumulative word widths (deduplicated, ascending).
   if (config.stage_fractions.empty()) {
     throw std::invalid_argument("calibrate_cascade: no stage fractions");
   }
-  std::vector<std::size_t> stage_words;
   for (const double f : config.stage_fractions) {
     if (!std::isfinite(f) || f <= 0.0 || f > 1.0) {
       throw std::invalid_argument(
@@ -255,12 +241,11 @@ CascadeTable calibrate_cascade(HdFacePipeline& pipeline,
     const auto w = static_cast<std::size_t>(std::max<long long>(
         1, std::llround(f * static_cast<double>(total_words))));
     const std::size_t clamped = std::min(w, total_words);
-    if (stage_words.empty() || clamped > stage_words.back()) {
-      stage_words.push_back(clamped);
+    if (table.stages.empty() || clamped > table.stages.back().words) {
+      table.stages.push_back({clamped, 0.0});
     }
   }
 
-  std::size_t prescreen_words = 0;
   if (config.prescreen) {
     if (!std::isfinite(config.prescreen_fraction) ||
         config.prescreen_fraction <= 0.0 || config.prescreen_fraction > 1.0) {
@@ -278,27 +263,17 @@ CascadeTable calibrate_cascade(HdFacePipeline& pipeline,
       throw std::invalid_argument(
           "calibrate_cascade: prescreen spread headroom outside [0, 1]");
     }
-    prescreen_words = std::min(
+    table.prescreen_words = std::min(
         total_words,
         static_cast<std::size_t>(std::max<long long>(
             1, std::llround(config.prescreen_fraction *
                             static_cast<double>(total_words)))));
   }
-
-  const core::PrototypeBlock block(classifier.binary_prototypes());
-
-  std::vector<double> min_margin(stage_words.size(),
-                                 std::numeric_limits<double>::infinity());
-  double min_prescreen_margin = std::numeric_limits<double>::infinity();
-  double min_prescreen_spread = std::numeric_limits<double>::infinity();
-  std::size_t positive_windows = 0;
+  const bool prescreen = table.prescreen_words > 0;
 
   ParallelDetectConfig engine;
   engine.threads = config.threads;
-
   hog::HdHogExtractor::StagedWindow win(*extractor);
-  std::vector<std::size_t> cum(classes);
-  std::vector<std::size_t> part(classes);
 
   // Pass 1: golden maps + eager planes per scene (the exact cell-plane scan
   // the cascade must not falsely reject from, bit-identical at any thread
@@ -308,88 +283,22 @@ CascadeTable calibrate_cascade(HdFacePipeline& pipeline,
   std::vector<DetectionMap> maps;
   std::vector<hog::CellPlane> planes;
   std::vector<double> positive_subset_vmax;
-  const std::size_t cell = extractor->config().hog.cell_size;
-  const std::size_t cells_per_side = config.window / cell;
+  std::size_t positive_windows = 0;
+  const std::size_t grid_step =
+      std::gcd(config.stride, extractor->config().hog.cell_size);
   for (const image::Image& scene : scenes) {
-    const std::size_t grid_step = std::gcd(config.stride, cell);
     planes.push_back(build_scene_cell_plane(pipeline, scene, grid_step, engine));
-    const hog::CellPlane& plane = planes.back();
-    maps.push_back(detect_windows_on_plane(pipeline, scene, plane,
+    maps.push_back(detect_windows_on_plane(pipeline, scene, planes.back(),
                                            config.window, config.stride,
                                            config.positive_class, engine));
     const DetectionMap& map = maps.back();
-    const std::size_t total = map.steps_x * map.steps_y;
-    for (std::size_t idx = 0; idx < total; ++idx) {
-      if (map.predictions[idx] != config.positive_class) continue;
-      if (prescreen_words == 0) continue;
-      const std::size_t ox = (idx % map.steps_x) * config.stride;
-      const std::size_t oy = (idx / map.steps_x) * config.stride;
-      double vmax = extractor->config().histogram_floor;
-      for (std::size_t cy = 0; cy < cells_per_side; ++cy) {
-        for (std::size_t cx = 0; cx < cells_per_side; ++cx) {
-          const std::size_t gx = (ox + cx * cell) / plane.grid_step;
-          const std::size_t gy = (oy + cy * cell) / plane.grid_step;
-          if (gx % 2 != 0 || gy % 2 != 0) continue;
-          const double* cached = plane.cell(gx, gy);
-          for (std::size_t b = 0; b < plane.bins; ++b) {
-            vmax = std::max(vmax, cached[b]);
-          }
-        }
-      }
-      positive_subset_vmax.push_back(vmax);
-    }
-  }
-  // Median over the calibration positives: a fixed, deterministic scale that
-  // keeps structureless windows at low histogram levels (self-normalization
-  // would inflate a flat window's tiny values by their own tiny maximum and
-  // make empty background look maximal — inseparable from faces).
-  double prescreen_vmax = 0.0;
-  if (!positive_subset_vmax.empty()) {
-    std::sort(positive_subset_vmax.begin(), positive_subset_vmax.end());
-    prescreen_vmax = positive_subset_vmax[positive_subset_vmax.size() / 2];
-  }
-
-  // Pass 2: per-positive prescreen and staged margins.
-  for (std::size_t si = 0; si < scenes.size(); ++si) {
-    const DetectionMap& map = maps[si];
-    const hog::CellPlane& plane = planes[si];
-    const std::size_t total = map.steps_x * map.steps_y;
-    for (std::size_t idx = 0; idx < total; ++idx) {
+    for (std::size_t idx = 0; idx < map.predictions.size(); ++idx) {
       if (map.predictions[idx] != config.positive_class) continue;
       ++positive_windows;
-      const std::size_t sx = idx % map.steps_x;
-      const std::size_t sy = idx / map.steps_x;
-      if (prescreen_words > 0) {
-        // The prescreen feature (parity cells only) is disjoint from the
-        // staged feature, so its margin is computed from its own reset,
-        // normalized by the fixed scale the table will deploy.
-        win.reset_prescreen(plane, sx * config.stride, sy * config.stride,
-                            prescreen_vmax);
-        min_prescreen_spread =
-            std::min(min_prescreen_spread, win.prescreen_spread());
-        const core::Hypervector& prefix = win.assemble_to(prescreen_words);
-        std::fill(cum.begin(), cum.end(), 0);
-        block.hamming_many_range(prefix, 0, prescreen_words, cum);
-        const std::size_t prefix_dims = std::min(dim, prescreen_words * 64);
-        min_prescreen_margin =
-            std::min(min_prescreen_margin,
-                     Cascade::margin_of(cum, prefix_dims,
-                                        config.positive_class));
-      }
-      win.reset(plane, sx * config.stride, sy * config.stride);
-      std::fill(cum.begin(), cum.end(), 0);
-      std::size_t prev = 0;
-      for (std::size_t s = 0; s < stage_words.size(); ++s) {
-        const core::Hypervector& prefix = win.assemble_to(stage_words[s]);
-        block.hamming_many_range(prefix, prev, stage_words[s], part);
-        for (std::size_t c = 0; c < classes; ++c) cum[c] += part[c];
-        const std::size_t prefix_dims = std::min(dim, stage_words[s] * 64);
-        min_margin[s] =
-            std::min(min_margin[s],
-                     Cascade::margin_of(cum, prefix_dims,
-                                        config.positive_class));
-        prev = stage_words[s];
-      }
+      if (!prescreen) continue;
+      win.reset_prescreen(planes.back(), (idx % map.steps_x) * config.stride,
+                          (idx / map.steps_x) * config.stride);
+      positive_subset_vmax.push_back(win.prescreen_vmax());
     }
   }
   if (positive_windows == 0) {
@@ -397,23 +306,54 @@ CascadeTable calibrate_cascade(HdFacePipeline& pipeline,
         "calibrate_cascade: calibration scenes contain no positive windows "
         "(a threshold calibrated on nothing would reject everything)");
   }
+  // Median over the calibration positives: a fixed, deterministic scale that
+  // keeps structureless windows at low histogram levels (self-normalization
+  // would inflate a flat window's tiny values by their own tiny maximum and
+  // make empty background look maximal — inseparable from faces).
+  if (prescreen) {
+    std::sort(positive_subset_vmax.begin(), positive_subset_vmax.end());
+    table.prescreen_vmax =
+        positive_subset_vmax[positive_subset_vmax.size() / 2];
+  }
+  // The provisional engine: the skeleton's thresholds are placeholders its
+  // margin steps never read, so the margins below are the deployed scan's.
+  const Cascade provisional(classifier, table);
 
-  CascadeTable table;
-  table.version =
-      prescreen_words > 0 ? kCascadeTableVersionPrescreen : kCascadeTableVersion;
-  table.seed = pipeline.config().seed;
-  table.dim = dim;
-  table.classes = classes;
-  table.positive_class = config.positive_class;
-  table.window = config.window;
-  table.stride = config.stride;
-  if (prescreen_words > 0) {
-    table.prescreen_words = prescreen_words;
+  // Pass 2: per-positive prescreen and staged margins.
+  std::vector<double> min_margin(table.stages.size(),
+                                 std::numeric_limits<double>::infinity());
+  double min_prescreen_margin = std::numeric_limits<double>::infinity();
+  double min_prescreen_spread = std::numeric_limits<double>::infinity();
+  Cascade::Scratch scratch;
+  for (std::size_t si = 0; si < scenes.size(); ++si) {
+    const DetectionMap& map = maps[si];
+    for (std::size_t idx = 0; idx < map.predictions.size(); ++idx) {
+      if (map.predictions[idx] != config.positive_class) continue;
+      const std::size_t ox = (idx % map.steps_x) * config.stride;
+      const std::size_t oy = (idx / map.steps_x) * config.stride;
+      if (prescreen) {
+        // The prescreen feature (parity cells only) is disjoint from the
+        // staged feature, so its margin is computed from its own reset,
+        // normalized by the fixed scale the table will deploy.
+        win.reset_prescreen(planes[si], ox, oy, table.prescreen_vmax);
+        min_prescreen_spread =
+            std::min(min_prescreen_spread, win.prescreen_spread());
+        min_prescreen_margin = std::min(
+            min_prescreen_margin, provisional.prescreen_margin(win, scratch));
+      }
+      win.reset(planes[si], ox, oy);
+      for (std::size_t s = 0; s < min_margin.size(); ++s) {
+        min_margin[s] =
+            std::min(min_margin[s], provisional.stage_margin(s, win, scratch));
+      }
+    }
+  }
+
+  if (prescreen) {
     // Same zero-false-reject construction as the stages: strictly below every
     // calibration positive's prescreen margin (computed at the deployed
     // normalization scale).
     table.prescreen_reject_below = min_prescreen_margin - config.slack;
-    table.prescreen_vmax = prescreen_vmax;
     // Spread floor below every calibration positive's spread by a relative
     // headroom (the spread is an unnormalized energy, so an absolute slack
     // would not transfer across geometries). Empty background sits near zero,
@@ -422,13 +362,10 @@ CascadeTable calibrate_cascade(HdFacePipeline& pipeline,
         std::max(0.0, min_prescreen_spread *
                           (1.0 - config.prescreen_spread_headroom));
   }
-  for (std::size_t s = 0; s < stage_words.size(); ++s) {
-    CascadeStage stage;
-    stage.words = stage_words[s];
+  for (std::size_t s = 0; s < min_margin.size(); ++s) {
     // Strictly below every calibration positive's margin: zero false rejects
     // on the calibration scenes for any slack ≥ 0.
-    stage.reject_below = min_margin[s] - config.slack;
-    table.stages.push_back(stage);
+    table.stages[s].reject_below = min_margin[s] - config.slack;
   }
   return table;
 }
@@ -484,23 +421,42 @@ namespace {
   throw std::runtime_error("cascade_table_from_text: " + what);
 }
 
-// Reads "key value" off one line; value parsing via strtoull/strtod (strtod
-// accepts the %a hexfloats the writer emits).
+// Reads one line; value parsing via strtoull/strtod (strtod accepts the %a
+// hexfloats the writer emits). A NUL byte would cut the C parsers short and
+// let the rest of the line through unread, so it is malformed.
 std::string next_line(std::string_view& text) {
   const std::size_t nl = text.find('\n');
   if (nl == std::string_view::npos) parse_fail("truncated table");
   std::string line(text.substr(0, nl));
+  if (line.find('\0') != std::string::npos) parse_fail("NUL byte in a line");
   text.remove_prefix(nl + 1);
   return line;
 }
 
-std::uint64_t parse_u64_field(std::string_view& text, const char* key) {
+// strtoull on a token the writer printed: it starts with a digit (strtoull
+// also takes a sign or spaces, wrapping "-1" to 2^64 − 1, and a second "0x"
+// in base 16) and fits 64 bits.
+unsigned long long parse_digits(const char* begin, char** end, int base,
+                                const std::string& what) {
+  errno = 0;
+  const unsigned long long v = std::strtoull(begin, end, base);
+  if (std::isxdigit(static_cast<unsigned char>(*begin)) == 0 ||
+      (base == 16 && (begin[1] == 'x' || begin[1] == 'X')) || errno == ERANGE) {
+    parse_fail("malformed " + what);
+  }
+  return v;
+}
+
+// "key value" in decimal, or "key 0x<hex>" for base 16 (never base 0, which
+// reads a leading 0 as octal).
+std::uint64_t parse_u64_field(std::string_view& text, const char* key,
+                              int base = 10) {
   const std::string line = next_line(text);
-  const std::string prefix = std::string(key) + " ";
+  const std::string prefix = std::string(key) + (base == 16 ? " 0x" : " ");
   if (line.rfind(prefix, 0) != 0) parse_fail("expected '" + prefix + "...'");
   const char* begin = line.c_str() + prefix.size();
   char* end = nullptr;
-  const unsigned long long v = std::strtoull(begin, &end, 0);
+  const unsigned long long v = parse_digits(begin, &end, base, prefix);
   if (end == begin || *end != '\0') parse_fail("malformed value for " + prefix);
   return static_cast<std::uint64_t>(v);
 }
@@ -510,20 +466,19 @@ std::uint64_t parse_u64_field(std::string_view& text, const char* key) {
 CascadeTable cascade_table_from_text(std::string_view text) {
   CascadeTable table;
   const std::string header = next_line(text);
-  unsigned version = 0;
-  if (std::sscanf(header.c_str(), "hdface-cascade-table v%u", &version) != 1) {
-    parse_fail("bad magic line '" + header + "'");
-  }
-  if (version != kCascadeTableVersion &&
-      version != kCascadeTableVersionPrescreen) {
-    parse_fail("unsupported version " + std::to_string(version));
-  }
-  table.version = version;
-  table.seed = parse_u64_field(text, "seed");
+  const std::uint32_t version =
+      header == "hdface-cascade-table v1"   ? kCascadeTableVersion
+      : header == "hdface-cascade-table v2" ? kCascadeTableVersionPrescreen
+                                            : 0;
+  if (version == 0) parse_fail("bad magic or version line '" + header + "'");
+  table.seed = parse_u64_field(text, "seed", 16);
   table.dim = static_cast<std::size_t>(parse_u64_field(text, "dim"));
   table.classes = static_cast<std::size_t>(parse_u64_field(text, "classes"));
-  table.positive_class =
-      static_cast<int>(parse_u64_field(text, "positive"));
+  const std::uint64_t positive = parse_u64_field(text, "positive");
+  if (positive > static_cast<std::uint64_t>(std::numeric_limits<int>::max())) {
+    parse_fail("positive class out of range");
+  }
+  table.positive_class = static_cast<int>(positive);
   table.window = static_cast<std::size_t>(parse_u64_field(text, "window"));
   table.stride = static_cast<std::size_t>(parse_u64_field(text, "stride"));
   if (version >= kCascadeTableVersionPrescreen) {
@@ -531,7 +486,8 @@ CascadeTable cascade_table_from_text(std::string_view text) {
     if (line.rfind("prescreen ", 0) != 0) parse_fail("expected 'prescreen ...'");
     const char* begin = line.c_str() + 10;
     char* end = nullptr;
-    const unsigned long long words = std::strtoull(begin, &end, 10);
+    const unsigned long long words =
+        parse_digits(begin, &end, 10, "prescreen words");
     if (end == begin || *end != ' ') parse_fail("malformed prescreen words");
     begin = end + 1;
     const double threshold = std::strtod(begin, &end);
@@ -562,7 +518,8 @@ CascadeTable cascade_table_from_text(std::string_view text) {
     if (line.rfind("stage ", 0) != 0) parse_fail("expected 'stage ...'");
     const char* begin = line.c_str() + 6;
     char* end = nullptr;
-    const unsigned long long words = std::strtoull(begin, &end, 10);
+    const unsigned long long words =
+        parse_digits(begin, &end, 10, "stage words");
     if (end == begin || *end != ' ') parse_fail("malformed stage words");
     begin = end + 1;
     const double threshold = std::strtod(begin, &end);
@@ -572,6 +529,7 @@ CascadeTable cascade_table_from_text(std::string_view text) {
     stage.reject_below = threshold;
     table.stages.push_back(stage);
   }
+  if (!text.empty()) parse_fail("trailing content after the last stage");
   return table;
 }
 

@@ -16,14 +16,15 @@
 //
 // Determinism: staged assembly is bit-identical to one-shot assembly at
 // every prefix (see StagedWindow), prefix Hamming tiles exactly to the full
-// distance (see hamming_block_range), and the per-stage thresholds are plain
-// doubles — so a cascaded scan is a pure function of (model, scene, table),
+// distance (see PrototypeBlock::hamming_many_range), and the per-stage
+// thresholds are plain doubles compared against the margins of the one
+// code that computes them (the margin steps below, which calibration runs
+// too) — so a cascaded scan is a pure function of (model, scene, table),
 // independent of thread count; stage statistics merge from per-chunk shards
 // with integer adds and are exact at every thread count too.
 
 #include <cstddef>
 #include <cstdint>
-#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -47,9 +48,8 @@ class Cascade {
  public:
   // Binarizes the classifier's prototypes into an SoA block for the prefix
   // stages (the same binarization the robustness studies deploy). Throws
-  // std::invalid_argument when the table's dim/classes/positive_class
-  // mismatch the classifier or its stages are malformed (empty, words not
-  // strictly ascending within (0, total words], non-finite thresholds).
+  // std::invalid_argument when the table's dim/classes mismatch the
+  // classifier or cascade_table_error rejects the table.
   Cascade(const learn::HdcClassifier& classifier, const CascadeTable& table);
 
   const CascadeTable& table() const { return table_; }
@@ -65,7 +65,8 @@ class Cascade {
     std::size_t stage = 0;   // rejecting stage index (valid when rejected)
   };
 
-  // Per-chunk scratch: cumulative and per-range prefix distances.
+  // Per-chunk scratch: running per-class prefix distances (cum) and the
+  // last word range's share of them (part).
   struct Scratch {
     std::vector<std::size_t> cum;
     std::vector<std::size_t> part;
@@ -93,14 +94,27 @@ class Cascade {
                    CascadeStats& stats,
                    core::OpCounter* counter = nullptr) const;
 
-  // The stage statistic: per-dimension lead of the positive class over its
-  // best rival after a prefix of `prefix_dims` dimensions. Shared with
-  // calibration so calibrated thresholds compare against the exact doubles
-  // the scan computes.
-  static double margin_of(std::span<const std::size_t> cum_distances,
-                          std::size_t prefix_dims, int positive_class);
+  // The stage statistic, one step at a time, shared by classify/prescreen
+  // and calibration: extends `window` to the step's words, adds that word
+  // range's prototype distances into scratch.cum and returns the margin
+  // (see CascadeStage); no step reads a threshold. stage_margin(s) follows
+  // stage s − 1 on the same reset() window (stage 0 restarts cum);
+  // prescreen_margin needs a reset_prescreen() window and has_prescreen().
+  double stage_margin(std::size_t s, hog::HdHogExtractor::StagedWindow& window,
+                      Scratch& scratch,
+                      core::OpCounter* counter = nullptr) const;
+  double prescreen_margin(hog::HdHogExtractor::StagedWindow& window,
+                          Scratch& scratch,
+                          core::OpCounter* counter = nullptr) const;
 
  private:
+  double step(hog::HdHogExtractor::StagedWindow& window, std::size_t word_lo,
+              std::size_t word_hi, Scratch& scratch,
+              core::OpCounter* counter) const;
+  // The reported result of a window rejected after `words` prefix words.
+  Result rejected(const Scratch& scratch, std::size_t words,
+                  std::size_t stage) const;
+
   CascadeTable table_;
   core::PrototypeBlock prototypes_;
   std::size_t total_words_ = 0;
@@ -145,10 +159,11 @@ struct CascadeCalibrationConfig {
 };
 
 // Deterministic offline calibration over golden detection maps: runs the
-// exact cell-plane scan on every scene, collects the per-stage margins of
-// every window the exact path predicts positive, and sets each stage's
-// threshold to (minimum positive margin − slack). Pure function of
-// (pipeline, scenes, config): two runs emit byte-identical tables
+// exact cell-plane scan on every scene, records the per-stage margins of
+// every window the exact path predicts positive through the margin steps of
+// a provisional Cascade over the table's skeleton (the scan's own code), and
+// sets each stage's threshold to (minimum positive margin − slack). Pure
+// function of (pipeline, scenes, config): two runs emit byte-identical tables
 // (cascade_table_to_text). Throws std::invalid_argument on empty scenes,
 // malformed fractions, or calibration scenes with no positive windows (a
 // threshold calibrated on nothing would reject everything).
@@ -164,7 +179,9 @@ CascadeTable calibrate_cascade(HdFacePipeline& pipeline,
 std::string cascade_table_to_text(const CascadeTable& table);
 
 // Parses cascade_table_to_text output; throws std::runtime_error on
-// malformed or version-mismatched input.
+// malformed or version-mismatched input, including integer fields not
+// spelled as the writer spells them and anything after the last stage. The
+// result's structure is not checked here: see cascade_table_error.
 CascadeTable cascade_table_from_text(std::string_view text);
 
 void save_cascade_table(const std::string& path, const CascadeTable& table);

@@ -16,6 +16,8 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
+#include <string>
 #include <vector>
 
 namespace hdface::pipeline {
@@ -44,12 +46,12 @@ struct CascadeStage {
   double reject_below = 0.0;   // margin threshold τ (reject when m < τ)
 };
 
-// Versioned calibrated threshold table (the artifact tools/cascade_calibrate
-// emits and api::DetectOptions::cascade loads). The metadata pins the model
-// and scan geometry the calibration ran against; the engine validates dim /
-// classes / positive_class on load, the rest is provenance.
+// Calibrated threshold table (the artifact tools/cascade_calibrate emits and
+// api::DetectOptions::cascade loads; its text form is versioned by content,
+// see cascade_table_to_text). The metadata pins the model and scan geometry
+// the calibration ran against; the engine validates dim / classes against
+// the classifier on load, the rest is provenance.
 struct CascadeTable {
-  std::uint32_t version = 1;   // serialization format version
   std::uint64_t seed = 0;      // pipeline seed the calibration ran under
   std::size_t dim = 0;         // hypervector dimensionality
   std::size_t classes = 0;     // prototype count
@@ -84,6 +86,13 @@ struct CascadeTable {
   double prescreen_spread_below = 0.0;
   std::vector<CascadeStage> stages;  // strictly ascending words
 };
+
+// The table's one structural rule (api::validate and the Cascade
+// constructor both apply it), a pure function of the table: dim > 0, at
+// least two classes, positive_class among them, stage words strictly
+// ascending within (0, ceil(dim / 64)], prescreen_words ≤ ceil(dim / 64),
+// finite, in-range thresholds. Returns the first broken rule, or nullopt.
+std::optional<std::string> cascade_table_error(const CascadeTable& table);
 
 // What api::DetectOptions::cascade carries: a mode and, for kCalibrated, the
 // threshold table.

@@ -74,18 +74,13 @@ std::vector<FaultCampaignCell> FaultCampaign::run_impl(
     throw std::invalid_argument("FaultCampaign: bad test set");
   }
 
-  // One pool serves every cell (same resolution rules as the detection
-  // engine: caller pool > explicit thread count > global pool).
-  util::ThreadPool* pool = config_.pool;
+  // One pool serves every cell (the detection engine's rule: an explicit
+  // thread count gets a call-local pool, 0 the global pool).
   std::unique_ptr<util::ThreadPool> local_pool;
-  if (pool == nullptr) {
-    if (config_.threads == 0) {
-      pool = &util::global_pool();
-    } else {
-      local_pool = std::make_unique<util::ThreadPool>(config_.threads);
-      pool = local_pool.get();
-    }
+  if (config_.threads != 0) {
+    local_pool = std::make_unique<util::ThreadPool>(config_.threads);
   }
+  util::ThreadPool& pool = local_pool ? *local_pool : util::global_pool();
 
   std::vector<FaultCampaignCell> cells;
   cells.reserve(subjects_.size() * config_.kinds.size() * config_.rates.size());
@@ -101,7 +96,7 @@ std::vector<FaultCampaignCell> FaultCampaign::run_impl(
         plan.prototypes = config_.prototypes;
         plan.queries = config_.queries;
         cells.push_back(
-            evaluate_cell(subject, plan, test, scene, truth, *pool));
+            evaluate_cell(subject, plan, test, scene, truth, pool));
       }
     }
   }

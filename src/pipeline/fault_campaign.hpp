@@ -56,7 +56,6 @@ struct FaultCampaignConfig {
   // Evaluation parallelism (same conventions as ParallelDetectConfig).
   std::size_t threads = 0;
   std::size_t min_chunk = 4;
-  util::ThreadPool* pool = nullptr;
   // Scene-scan settings (used only when run() is given a scene).
   std::size_t stride = 8;
   double score_threshold = 0.0;

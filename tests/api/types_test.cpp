@@ -133,7 +133,7 @@ TEST(Validate, ExactCascadeModeSkipsCascadeChecks) {
   // Exact mode runs the pre-cascade path untouched, so the table (and encode
   // mode) are irrelevant — a default-constructed config must validate.
   DetectOptions opts;
-  opts.cascade = pipeline::CascadeConfig{};
+  opts.cascade.emplace();
   EXPECT_EQ(validate(opts), std::nullopt);
 }
 
@@ -184,6 +184,38 @@ TEST(Validate, RejectsMalformedCascadeTables) {
   auto degenerate = calibrated_cascade_options();
   degenerate.cascade->table.classes = 1;
   EXPECT_TRUE(validate(degenerate).has_value());
+}
+
+TEST(Validate, RejectsCascadeWordsBeyondTheTableDim) {
+  // dim 2048 spans 32 words: a stage or a prescreen past them cannot be
+  // scored by any model of that dim, so admission must refuse the table
+  // rather than let the scan fail after it.
+  auto at_edge = calibrated_cascade_options();
+  at_edge.cascade->table.stages = {{2, -0.10}, {32, -0.05}};
+  EXPECT_EQ(validate(at_edge), std::nullopt);
+
+  auto stage_past = calibrated_cascade_options();
+  stage_past.cascade->table.stages = {{2, -0.10}, {33, -0.05}};
+  const auto stage_err = validate(stage_past);
+  ASSERT_TRUE(stage_err.has_value());
+  EXPECT_EQ(stage_err->code, ErrorCode::kInvalidOptions);
+  EXPECT_NE(stage_err->message.find("stage words"), std::string::npos);
+
+  auto prescreen_past = calibrated_cascade_options();
+  pipeline::CascadeTable& table = prescreen_past.cascade->table;
+  table.prescreen_words = 32;
+  table.prescreen_reject_below = -0.1;
+  table.prescreen_vmax = 0.5;
+  EXPECT_EQ(validate(prescreen_past), std::nullopt);
+  table.prescreen_words = 33;
+  const auto prescreen_err = validate(prescreen_past);
+  ASSERT_TRUE(prescreen_err.has_value());
+  EXPECT_EQ(prescreen_err->code, ErrorCode::kInvalidOptions);
+  EXPECT_NE(prescreen_err->message.find("prescreen words"), std::string::npos);
+
+  // A dim off the word boundary rounds up: 2049 dimensions span 33 words.
+  stage_past.cascade->table.dim = 2049;
+  EXPECT_EQ(validate(stage_past), std::nullopt);
 }
 
 // --- Error -----------------------------------------------------------------

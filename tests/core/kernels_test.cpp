@@ -152,65 +152,6 @@ TEST(Kernels, HammingBlockMatchesScalarOnAllBackends) {
   }
 }
 
-TEST(Kernels, HammingBlockRangeMatchesScalarOnAllBackends) {
-  // Prefix variant: random widths and random [lo, hi) word ranges, every
-  // backend against the scalar reference (the PR 5 diff-test discipline).
-  const kernels::KernelTable& ref = kernels::scalar_table();
-  Rng rng(0xBEEF07);
-  for (const kernels::KernelTable* t : usable_backends()) {
-    for (const std::size_t words : {1u, 3u, 17u, 32u}) {
-      for (const std::size_t count : {1u, 2u, 5u, 13u}) {
-        const std::size_t stride = (count + 7) / 8 * 8;
-        const auto query = random_words(words, rng);
-        auto block = random_words(words * stride, rng);
-        for (std::size_t w = 0; w < words; ++w) {  // zero the padding lanes
-          for (std::size_t c = count; c < stride; ++c) block[w * stride + c] = 0;
-        }
-        for (std::size_t trial = 0; trial < 8; ++trial) {
-          const std::size_t lo = rng.below(words);
-          const std::size_t hi = lo + 1 + rng.below(words - lo);
-          std::vector<std::uint64_t> want(count), got(count);
-          ref.hamming_block_range(query.data(), block.data(), lo, hi, count,
-                                  stride, want.data());
-          t->hamming_block_range(query.data(), block.data(), lo, hi, count,
-                                 stride, got.data());
-          EXPECT_EQ(want, got)
-              << kernels::backend_name(t->backend) << " words=" << words
-              << " count=" << count << " range=[" << lo << "," << hi << ")";
-        }
-      }
-    }
-  }
-}
-
-TEST(Kernels, HammingBlockRangeTilesExactlyToFullDistance) {
-  // An ascending tiling of [0, words) must sum, per lane, to exactly the full
-  // hamming_block result — the identity the cascade's cumulative prefix
-  // distances rely on. Checked on every usable backend.
-  Rng rng(0xBEEF08);
-  for (const kernels::KernelTable* t : usable_backends()) {
-    const std::size_t words = 32, count = 7;
-    const std::size_t stride = (count + 7) / 8 * 8;
-    const auto query = random_words(words, rng);
-    auto block = random_words(words * stride, rng);
-    for (std::size_t w = 0; w < words; ++w) {
-      for (std::size_t c = count; c < stride; ++c) block[w * stride + c] = 0;
-    }
-    std::vector<std::uint64_t> full(count);
-    t->hamming_block(query.data(), block.data(), words, count, stride,
-                     full.data());
-    // Uneven tiling: 0..2, 2..3, 3..11, 11..32.
-    const std::size_t cuts[] = {0, 2, 3, 11, words};
-    std::vector<std::uint64_t> sum(count, 0), part(count);
-    for (std::size_t s = 0; s + 1 < std::size(cuts); ++s) {
-      t->hamming_block_range(query.data(), block.data(), cuts[s], cuts[s + 1],
-                             count, stride, part.data());
-      for (std::size_t c = 0; c < count; ++c) sum[c] += part[c];
-    }
-    EXPECT_EQ(sum, full) << kernels::backend_name(t->backend);
-  }
-}
-
 TEST(Kernels, AddXorWeightedIsBitIdenticalAcrossBackends) {
   const kernels::KernelTable& ref = kernels::scalar_table();
   Rng rng(0xBEEF04);
@@ -535,6 +476,74 @@ TEST(PrototypeBlock, BackendInvariantResults) {
   }
   for (std::size_t i = 1; i < results.size(); ++i) {
     EXPECT_EQ(results[0], results[i]);
+  }
+}
+
+TEST(PrototypeBlock, HammingManyRangeMatchesScalarOnAllBackends) {
+  // The cascade's prefix distances: random [lo, hi) word ranges of random
+  // blocks (dims off the word boundary, lane counts off the vector width),
+  // every usable backend against the scalar backend's result.
+  Rng rng(0xBEEF07);
+  for (const std::size_t dim : {64u, 191u, 1088u, 2048u}) {
+    for (const std::size_t count : {1u, 2u, 5u, 13u}) {
+      std::vector<Hypervector> protos;
+      for (std::size_t c = 0; c < count; ++c) {
+        protos.push_back(Hypervector::random(dim, rng));
+      }
+      const PrototypeBlock block{std::span<const Hypervector>(protos)};
+      const auto query = Hypervector::random(dim, rng);
+      const std::size_t words = block.words();
+      for (std::size_t trial = 0; trial < 8; ++trial) {
+        const std::size_t lo = rng.below(words);
+        const std::size_t hi = lo + 1 + rng.below(words - lo);
+        std::vector<std::size_t> want(count);
+        {
+          kernels::ScopedBackend scalar(kernels::Backend::kScalar);
+          block.hamming_many_range(query, lo, hi, want);
+        }
+        for (const kernels::KernelTable* t : usable_backends()) {
+          kernels::ScopedBackend scoped(t->backend);
+          std::vector<std::size_t> got(count);
+          block.hamming_many_range(query, lo, hi, got);
+          EXPECT_EQ(want, got)
+              << kernels::backend_name(t->backend) << " dim=" << dim
+              << " count=" << count << " range=[" << lo << "," << hi << ")";
+        }
+      }
+    }
+  }
+}
+
+TEST(PrototypeBlock, HammingManyRangeTilesToHammingMany) {
+  // An uneven ascending tiling of [0, words) sums, per lane, to exactly
+  // hamming_many's distances and charges exactly its op totals — the
+  // identity the cascade's running prefix distances rely on.
+  Rng rng(0xBEEF08);
+  std::vector<Hypervector> protos;
+  for (std::size_t c = 0; c < 7; ++c) {
+    protos.push_back(Hypervector::random(2000, rng));
+  }
+  const PrototypeBlock block{std::span<const Hypervector>(protos)};
+  const auto query = Hypervector::random(2000, rng);
+  const std::size_t words = block.words();  // 32
+  for (const kernels::KernelTable* t : usable_backends()) {
+    kernels::ScopedBackend scoped(t->backend);
+    OpCounter full_ops, tiled_ops;
+    const auto full = block.hamming_many(query, &full_ops);
+    const std::size_t cuts[] = {0, 2, 3, 11, words};
+    std::vector<std::size_t> sum(block.count(), 0), part(block.count());
+    for (std::size_t s = 0; s + 1 < std::size(cuts); ++s) {
+      block.hamming_many_range(query, cuts[s], cuts[s + 1], part, &tiled_ops);
+      for (std::size_t c = 0; c < sum.size(); ++c) sum[c] += part[c];
+    }
+    EXPECT_EQ(sum, full) << kernels::backend_name(t->backend);
+    for (const auto kind : {OpKind::kWordLogic, OpKind::kPopcount}) {
+      EXPECT_EQ(full_ops.get(kind), tiled_ops.get(kind))
+          << kernels::backend_name(t->backend) << " "
+          << hdface::core::op_kind_name(kind);
+    }
+    EXPECT_EQ(full_ops.total(), tiled_ops.total())
+        << kernels::backend_name(t->backend);
   }
 }
 

@@ -3,11 +3,13 @@
 // distances tile exactly, exact mode is bit-identical to the cascade-free
 // scan at every thread count, calibrated mode reports zero false rejects on
 // the calibration scenes with bit-identical survivors, calibration is
-// byte-deterministic, and the threshold-table text form round-trips.
+// byte-deterministic and its thresholds are the deployed engine's minimum
+// positive margins, and the threshold-table text form round-trips.
 
 #include "pipeline/cascade.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <numeric>
 #include <stdexcept>
 #include <string>
@@ -471,6 +473,87 @@ TEST(Cascade, CalibrationRejectsDegenerateInputs) {
                std::invalid_argument);
 }
 
+// Calibration's rule, replayed through the DEPLOYED engine: every threshold
+// is the minimum, over the golden positives, of the deployed Cascade's
+// margin at that step minus the slack (as doubles, bit for bit), the spread
+// floor is the minimum positive spread less its headroom, the prescreen
+// scale is the median positive subset vmax, and neither prescreen nor
+// classify rejects a golden positive.
+void expect_thresholds_are_deployed_minima(CascadeFixture& f,
+                                           const CascadeTable& table,
+                                           const CascadeCalibrationConfig& cc) {
+  const Cascade cascade(f.pipeline.classifier(), table);
+  ParallelDetectConfig cfg;
+  cfg.threads = 1;
+  cfg.encode_mode = EncodeMode::kCellPlane;
+  const std::size_t grid_step =
+      std::gcd(cc.stride, f.pipeline.config().hog.cell_size);
+  hog::HdHogExtractor::StagedWindow win(*f.pipeline.hd_extractor());
+  Cascade::Scratch scratch;
+  CascadeStats stats;
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::vector<double> min_margin(table.stages.size(), kInf);
+  double min_prescreen = kInf;
+  double min_spread = kInf;
+  std::vector<double> subset_vmax;
+  std::size_t positives = 0;
+  for (std::size_t i = 0; i < f.scenes.size(); ++i) {
+    const hog::CellPlane plane =
+        build_scene_cell_plane(f.pipeline, f.scenes[i], grid_step, cfg);
+    const DetectionMap& golden = f.golden[i];
+    for (std::size_t idx = 0; idx < golden.predictions.size(); ++idx) {
+      if (golden.predictions[idx] != cc.positive_class) continue;
+      ++positives;
+      const std::size_t ox = (idx % golden.steps_x) * cc.stride;
+      const std::size_t oy = (idx / golden.steps_x) * cc.stride;
+      if (cascade.has_prescreen()) {
+        win.reset_prescreen(plane, ox, oy);
+        subset_vmax.push_back(win.prescreen_vmax());
+        win.reset_prescreen(plane, ox, oy, table.prescreen_vmax);
+        EXPECT_FALSE(cascade.prescreen(win, scratch, stats).rejected)
+            << "scene " << i << " window " << idx;
+        win.reset_prescreen(plane, ox, oy, table.prescreen_vmax);
+        min_spread = std::min(min_spread, win.prescreen_spread());
+        min_prescreen =
+            std::min(min_prescreen, cascade.prescreen_margin(win, scratch));
+      }
+      win.reset(plane, ox, oy);
+      const Cascade::Result r =
+          cascade.classify(f.pipeline.classifier(), win, scratch, stats);
+      EXPECT_FALSE(r.rejected) << "scene " << i << " window " << idx;
+      EXPECT_EQ(r.prediction, cc.positive_class);
+      win.reset(plane, ox, oy);
+      for (std::size_t s = 0; s < min_margin.size(); ++s) {
+        min_margin[s] =
+            std::min(min_margin[s], cascade.stage_margin(s, win, scratch));
+      }
+    }
+  }
+  ASSERT_GT(positives, 0u);
+  for (std::size_t s = 0; s < min_margin.size(); ++s) {
+    EXPECT_EQ(table.stages[s].reject_below, min_margin[s] - cc.slack)
+        << "stage " << s;
+  }
+  ASSERT_EQ(cascade.has_prescreen(), cc.prescreen);
+  if (cc.prescreen) {
+    EXPECT_EQ(table.prescreen_reject_below, min_prescreen - cc.slack);
+    EXPECT_EQ(table.prescreen_spread_below,
+              std::max(0.0, min_spread * (1.0 - cc.prescreen_spread_headroom)));
+    std::sort(subset_vmax.begin(), subset_vmax.end());
+    EXPECT_EQ(table.prescreen_vmax, subset_vmax[subset_vmax.size() / 2]);
+  }
+}
+
+TEST(Cascade, CalibratedThresholdsAreTheDeployedEnginesMinimumMargins) {
+  auto& f = fixture();
+  expect_thresholds_are_deployed_minima(f, f.table, f.calibration);
+  CascadeCalibrationConfig with_prescreen = f.calibration;
+  with_prescreen.prescreen = true;  // stride 8 on 4-pixel cells
+  expect_thresholds_are_deployed_minima(
+      f, calibrate_cascade(f.pipeline, f.scenes, with_prescreen),
+      with_prescreen);
+}
+
 TEST(Cascade, CalibrationScenesAreDeterministic) {
   const auto a = cascade_calibration_scenes(2, 16, 64, 48, 1, 0x5EED);
   const auto b = cascade_calibration_scenes(2, 16, 64, 48, 1, 0x5EED);
@@ -527,6 +610,29 @@ TEST(CascadeTable, ParserRejectsMalformedInput) {
   // Truncated stage list.
   const std::string truncated = text.substr(0, text.rfind("stage"));
   EXPECT_THROW((void)cascade_table_from_text(truncated), std::runtime_error);
+  // Edits the C parsers would misread as another value or skip unread: a
+  // sign (strtoull wraps "-1024" to 2^64 − 1024), a positive class past int,
+  // a 64-bit overflow, a suffix on the magic line, a NUL byte cutting a line
+  // short, and content after the last stage.
+  const auto edited = [&text](const std::string& from, const std::string& to) {
+    std::string t = text;
+    t.replace(t.find(from), from.size(), to);
+    return t;
+  };
+  const std::string nul_cut("dim 1024\0zz", 11);
+  for (const std::string& bad :
+       {edited("dim 1024", "dim -1024"), edited("dim 1024", "dim +1024"),
+        edited("positive 1", "positive 4294967297"),
+        edited("dim 1024", "dim 18446744073709551616"),
+        edited("v1\n", "v1junk\n"), edited("dim 1024", nul_cut),
+        edited("seed 0x", "seed "), edited("seed 0x", "seed 0x0x"),
+        text + "stage 8 0x0p+0\n"}) {
+    EXPECT_THROW((void)cascade_table_from_text(bad), std::runtime_error)
+        << bad;
+  }
+  // Leading zeros are decimal, not octal.
+  EXPECT_EQ(cascade_table_from_text(edited("dim 1024", "dim 01024")).dim,
+            1024u);
 }
 
 TEST(Cascade, ConstructorValidatesTableAgainstClassifier) {

@@ -17,12 +17,14 @@
 //                     [--threads 0] [--background mixed]
 //                     [--out cascade_table.txt]
 //
-// The defaults calibrate quickly; for a production-sharp table use the
-// benchmark model's recipe (hdbench/, tests/pipeline/fast_path_gates_test.cpp:
+// The defaults calibrate quickly; for sharper stages use the benchmark
+// model's stage recipe (hdbench/, tests/pipeline/fast_path_gates_test.cpp:
 // --dim 4096 --train 400 --epochs 30 --window 32 --stride 8 --slack 0.001
 // --stages 0.0625,0.125,0.25,0.5): rejection power is a property of the
-// classifier's margins, not of the cascade machinery. --threads 0 (the
-// default) scans on the global worker pool, 1 serially; the table is
+// classifier's margins, not of the cascade machinery. The tool has no
+// prescreen flag, so it emits v1 tables only and cannot reproduce the
+// benchmark's v2 table (stages plus a cell-subset prescreen). --threads 0
+// (the default) scans on the global worker pool, 1 serially; the table is
 // byte-identical at any thread count.
 
 #include <cstdint>
